@@ -24,8 +24,8 @@ Dropping dead values coarsens the state partition of the explorer's
 canonical form — states that differ only in unreadable registers now
 dedup together — which is a bisimulation-preserving abstraction: a
 dead value can never influence a future transition, an assertion, or
-an output.  Both exploration engines consult the same tables, so their
-verdicts and state counts stay identical.
+an output.  Every exploration backend consults the same tables, so
+their verdicts stay identical.
 
 ``Ret`` instructions get an empty death list by construction: the whole
 frame is discarded on return, and the popped frame may still be shared

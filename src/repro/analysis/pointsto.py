@@ -58,30 +58,21 @@ class AbstractObject:
 class PointsToAnalysis:
     """Inclusion-constraint points-to solution for one module.
 
-    Two interchangeable solvers compute the same (unique) least
-    solution:
-
-    - ``solver="scc"`` (default): collapses copy cycles into single
-      representatives (Tarjan SCC + union-find) and propagates only
-      the *difference* — objects a successor has not seen yet — along
-      each edge.  Copy cycles are common in real constraint graphs
-      (recursive calls bind actuals and formals in both directions,
-      pointers round-trip through globals and load/store pairs), and
-      the basic solver re-propagates full sets around them until they
-      stabilize.
-    - ``solver="basic"``: the original full-set worklist, kept as the
-      reference implementation for equivalence tests.
-
-    Inclusion constraints have a unique least fixpoint, so the choice
-    of solver never changes ``points_to``/``class_key`` results — only
-    how fast they are reached.
+    The solver collapses copy cycles into single representatives
+    (Tarjan SCC + union-find) and propagates only the *difference* —
+    objects a successor has not seen yet — along each edge.  Copy
+    cycles are common in real constraint graphs (recursive calls bind
+    actuals and formals in both directions, pointers round-trip
+    through globals and load/store pairs), and a plain full-set
+    worklist re-propagates whole sets around them until they
+    stabilize.  Inclusion constraints have a unique least fixpoint, so
+    both reach the same ``points_to``/``class_key`` results;
+    ``tests/analysis/test_pointsto_solver.py`` keeps the full-set
+    worklist as the reference and checks the two agree.
     """
 
-    def __init__(self, module, solver="scc"):
-        if solver not in ("scc", "basic"):
-            raise ValueError(f"unknown points-to solver: {solver!r}")
+    def __init__(self, module):
         self.module = module
-        self.solver = solver
         #: value -> set(AbstractObject); also AbstractObject -> set(...)
         #: for the *contents* of an object (what pointers stored into it
         #: may reference).
@@ -91,16 +82,13 @@ class PointsToAnalysis:
         self._store_edges = {}
         self.objects = []
         self._object_of = {}
-        #: union-find parent map for collapsed copy cycles (empty for
-        #: the basic solver: every node represents itself).
+        #: union-find parent map for collapsed copy cycles (a node
+        #: absent from it represents itself).
         self._parent = {}
         #: solver work counters (for profiling / tests).
         self.stats = {"sccs_collapsed": 0, "nodes_merged": 0, "rounds": 0}
         self._generate()
-        if solver == "basic":
-            self._solve_basic()
-        else:
-            self._solve_scc()
+        self._solve()
 
     # -- public queries ----------------------------------------------------
 
@@ -222,46 +210,6 @@ class PointsToAnalysis:
             return
         self._store_edges.setdefault(pointer, set()).add(src)
 
-    # -- basic worklist solver (reference implementation) ------------------
-
-    def _solve_basic(self):
-        worklist = list(self._pts)
-        queued = set(map(id, worklist))
-
-        def push(node):
-            if id(node) not in queued:
-                queued.add(id(node))
-                worklist.append(node)
-
-        def add_copy(src, dst):
-            edges = self._copy_edges.setdefault(src, set())
-            if dst not in edges:
-                edges.add(dst)
-                if self._pts.get(src):
-                    push(src)
-
-        while worklist:
-            self.stats["rounds"] += 1
-            node = worklist.pop()
-            queued.discard(id(node))
-            pts = self._pts.get(node)
-            if not pts:
-                continue
-            # Complex constraints materialize into copy edges.
-            for dst in self._load_edges.get(node, ()):
-                for obj in pts:
-                    add_copy(obj, dst)
-            for src in self._store_edges.get(node, ()):
-                for obj in pts:
-                    add_copy(src, obj)
-            # Propagate along copy edges.
-            for dst in self._copy_edges.get(node, ()):
-                target = self._pts.setdefault(dst, set())
-                before = len(target)
-                target |= pts
-                if len(target) != before:
-                    push(dst)
-
     # -- SCC-collapsing difference-propagation solver ----------------------
 
     def _find(self, node):
@@ -278,7 +226,7 @@ class PointsToAnalysis:
             node = next_node
         return root
 
-    def _solve_scc(self):
+    def _solve(self):
         """Worklist solver: Tarjan cycle collapsing + delta propagation.
 
         Nodes in a copy cycle provably share one points-to set, so each

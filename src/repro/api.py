@@ -63,29 +63,24 @@ def port_module(module, level=PortingLevel.ATOMIG, config=None,
 
 
 def check_module(module, model="wmm", max_steps=2500, max_states=2_000_000,
-                 reduce=None, robustness=False, engine=None, por=None,
-                 macro=None):
+                 robustness=False, por="sleep", macro="on"):
     """Exhaustively model-check ``module`` starting from ``main``.
 
     ``model`` is ``"sc"``, ``"tso"`` or ``"wmm"``.  Returns a
     :class:`repro.mc.explorer.CheckResult` whose ``violation`` field
     holds a counterexample trace when an assertion can fail.
     Reduction is controlled by ``por`` (``"none"``/``"sleep"``/
-    ``"dpor"``) and ``macro`` (``"on"``/``"off"``); ``reduce=False``
-    is the deprecated alias for turning both off (the slow oracle in
-    perf tests).  All backends return identical verdicts by
-    construction.  ``robustness=True`` tries the static critical-cycle
-    pre-pass first and skips exploration for provably robust modules.
-    ``engine`` selects the exploration engine (``"inplace"``/
-    ``"clone"``); the default is the explorer's (the fast in-place
-    engine).
+    ``"dpor"``) and ``macro`` (``"on"``/``"off"``); ``por="none",
+    macro="off"`` is the slow unreduced oracle.  All backends return
+    identical verdicts by construction.  ``robustness=True`` tries the
+    static critical-cycle pre-pass first and skips exploration for
+    provably robust modules.
     """
     from repro.mc.explorer import check_module as _check
 
-    kwargs = {} if engine is None else {"engine": engine}
     return _check(module, model=model, max_steps=max_steps,
-                  max_states=max_states, reduce=reduce, por=por,
-                  macro=macro, robustness=robustness, **kwargs)
+                  max_states=max_states, por=por, macro=macro,
+                  robustness=robustness)
 
 
 def lint_module(module, name_heuristic=True):

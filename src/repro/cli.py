@@ -127,12 +127,8 @@ def _add_config_args(parser):
 
 def cmd_port(args):
     module = _load(args.file)
-    config = _build_config(args)
-    if args.jobs and args.jobs > 1:
-        config = config or AtoMigConfig()
-        config.function_jobs = args.jobs
     ported, report = port_module(
-        module, _LEVELS[args.level], config=config,
+        module, _LEVELS[args.level], config=_build_config(args),
         optimize=args.optimize,
     )
     if args.json:
@@ -248,9 +244,6 @@ def cmd_optimize(args):
 
 def _check_results(args):
     """Run one check per requested model, possibly on a process pool."""
-    # --no-reduce is the deprecated both-knobs-off alias; the explicit
-    # --por/--macro flags win over it (resolve_reduction's contract).
-    reduce = False if args.no_reduce else None
     # --repair needs the porting pipeline even at level original (the
     # repair stage lives there).
     needs_port = args.level != "original" or args.repair
@@ -263,10 +256,9 @@ def _check_results(args):
             CheckTask(
                 name=args.file, source=source, model=model,
                 level=args.level if needs_port else None,
-                max_steps=args.max_steps, reduce=reduce,
-                por=args.por, macro=args.macro,
+                max_steps=args.max_steps, por=args.por, macro=args.macro,
                 config=_build_config(args), is_ir=args.file.endswith(".ir"),
-                robustness=args.robustness, engine=args.engine,
+                robustness=args.robustness,
             )
             for model in args.models
         ]
@@ -276,12 +268,10 @@ def _check_results(args):
         module, _report = port_module(
             module, _LEVELS[args.level], config=_build_config(args)
         )
-    engine_kwargs = {} if args.engine is None else {"engine": args.engine}
     return (
         (model, check_module(
-            module, model=model, max_steps=args.max_steps, reduce=reduce,
-            por=args.por, macro=args.macro,
-            robustness=args.robustness, **engine_kwargs,
+            module, model=model, max_steps=args.max_steps, por=args.por,
+            macro=args.macro, robustness=args.robustness,
         ))
         for model in args.models
     )
@@ -865,10 +855,6 @@ def build_parser():
     port.add_argument("-o", "--output", help="write the ported IR here")
     port.add_argument("--profile", action="store_true",
                       help="print per-stage wall-clock of the pipeline")
-    port.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="analyze functions on N worker threads in the "
-                           "per-function stages (annotations, spinloops, "
-                           "optimistic)")
     port.add_argument("--optimize", action="store_true",
                       help="after porting, weaken barriers under the "
                            "model-checking oracle (verdict-preserving)")
@@ -925,18 +911,14 @@ def build_parser():
                             "processes")
     check.add_argument("--stats", action="store_true",
                        help="print exploration statistics per model")
-    check.add_argument("--no-reduce", action="store_true",
-                       help="deprecated alias for '--por none --macro "
-                            "off' (disable partial-order reduction and "
-                            "macro-stepping together)")
-    check.add_argument("--por", default=None,
+    check.add_argument("--por", default="sleep",
                        choices=["none", "sleep", "dpor"],
                        help="partial-order-reduction backend: 'sleep' "
                             "(Godefroid sleep sets, the default), "
                             "'dpor' (source-DPOR with happens-before "
                             "clocks and race-driven backtracking), or "
                             "'none' (enumerate every interleaving)")
-    check.add_argument("--macro", default=None, choices=["on", "off"],
+    check.add_argument("--macro", default="on", choices=["on", "off"],
                        help="macro-stepping of single-choice runs "
                             "(default on; independent of --por so "
                             "ablations can isolate each reduction)")
@@ -944,13 +926,6 @@ def build_parser():
                        action=argparse.BooleanOptionalAction,
                        help="skip exploration for statically robust "
                             "modules (--no-robustness always explores)")
-    check.add_argument("--engine", default=None,
-                       choices=["inplace", "clone"],
-                       help="exploration engine: 'inplace' (undo-log "
-                            "DFS, the fast default) or 'clone' (the "
-                            "reference copy-per-transition engine); "
-                            "verdicts and state counts are identical "
-                            "by construction")
     check.add_argument("--json", action="store_true",
                        help="emit one CheckResult JSON object per model "
                             "on stdout")

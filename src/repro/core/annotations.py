@@ -12,15 +12,9 @@ Three annotation kinds hint at shared-memory synchronization:
 
 The pass returns the set of location keys it touched so alias
 exploration can propagate "once atomic, always atomic" to their buddies.
-
-The pass is per-function by construction (it only reads and mutates one
-function's instructions at a time), so with ``jobs > 1`` functions are
-analyzed by a thread pool and the per-function partial results merged
-in deterministic module order.
 """
 
 from repro.analysis.nonlocal_ import NonLocalInfo
-from repro.core.funcjobs import map_functions
 from repro.ir import instructions as ins
 from repro.ir.instructions import MemoryOrder
 from repro.ir.values import GlobalVar
@@ -38,25 +32,18 @@ class AnnotationResult:
         self.conversions = 0
 
 
-def analyze_annotations(module, blacklist=(), cache=None, jobs=1):
+def analyze_annotations(module, blacklist=(), cache=None):
     """Run the explicit-annotation pass on ``module`` in place."""
     blacklist = set(blacklist)
-
-    def worker(function):
+    result = AnnotationResult()
+    for function in module.functions.values():
         info = (cache.nonlocal_info(function) if cache is not None
                 else NonLocalInfo(function))
-        partial = AnnotationResult()
-        _analyze_function(function, info, blacklist, partial)
-        return partial
-
-    result = AnnotationResult()
-    intern = cache.intern if cache is not None else (lambda key: key)
-    for partial in map_functions(module, worker, jobs=jobs):
-        result.marked_instructions |= partial.marked_instructions
-        result.location_keys.update(
-            intern(key) for key in partial.location_keys
-        )
-        result.conversions += partial.conversions
+        _analyze_function(function, info, blacklist, result)
+    if cache is not None:
+        result.location_keys = {
+            cache.intern(key) for key in result.location_keys
+        }
     return result
 
 

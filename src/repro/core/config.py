@@ -100,13 +100,6 @@ class AtoMigConfig:
     #: plain pointer arguments — and prunes sticky buddies whose every
     #: aliased object is provably thread-local.
     alias_mode: str = "type_based"
-    #: Worker threads for the per-function detection stages
-    #: (annotations, spinloops, optimistic).  These stages are
-    #: intra-procedural by construction, so splitting by function is
-    #: safe; results are merged in deterministic function order.  The
-    #: workers are threads (the analyses are pure Python, so this is a
-    #: latency win only where the GIL is released), default 1 = serial.
-    function_jobs: int = 1
     #: Re-verify only the functions the port actually touched.  A clone
     #: of a verified module is verified by construction; only functions
     #: with changed memory orders, inserted fences, or inlined bodies

@@ -46,30 +46,26 @@ class OptimisticResult:
     control_keys: set = field(default_factory=set)
 
 
-def detect_optimistic_loops(module, spinloop_result, cache=None, jobs=1):
+def detect_optimistic_loops(module, spinloop_result, cache=None):
     """Classify each detected spinloop as optimistic or plain.
 
-    Classification is intra-procedural (one use-map and nonlocal-info
-    per function), so with ``jobs > 1`` the per-function groups of
-    spinloops are classified in parallel; results merge in spinloop
-    order, and the (idempotent) ``optimistic_control`` marking happens
-    serially during the merge.
+    Classification is intra-procedural: spinloops are grouped by
+    function so each function's use-map and nonlocal-info are built
+    once; results keep spinloop order.
     """
     from repro.analysis.nonlocal_ import NonLocalInfo
-    from repro.core.funcjobs import map_items
 
     # Group the spinloops by function, preserving detection order.
     groups = {}
     for info in spinloop_result.spinloops:
         groups.setdefault(info.function_name, []).append(info)
 
-    def classify_group(item):
-        function_name, infos = item
+    result = OptimisticResult()
+    for function_name, infos in groups.items():
         function = module.functions[function_name]
         uses = _build_use_map(function)
         nonlocal_info = (cache.nonlocal_info(function) if cache is not None
                          else NonLocalInfo(function))
-        classified = []
         for info in infos:
             optimistic_reads = set()
             control_keys = info.control_keys
@@ -87,18 +83,15 @@ def detect_optimistic_loops(module, spinloop_result, cache=None, jobs=1):
                     continue  # reads of the controls themselves
                 if _value_used_outside(instr, info.loop, uses):
                     optimistic_reads.add(instr)
-            if optimistic_reads:
-                classified.append(OptimisticLoopInfo(info, optimistic_reads))
-        return classified
-
-    result = OptimisticResult()
-    for classified in map_items(groups.items(), classify_group, jobs=jobs):
-        for opt in classified:
-            for control in opt.spinloop.spin_controls:
+            if not optimistic_reads:
+                continue
+            for control in info.spin_controls:
                 control.marks.add("optimistic_control")
-            result.optimistic_loops.append(opt)
-            result.control_instructions |= opt.spinloop.spin_controls
-            result.control_keys |= opt.spinloop.control_keys
+            result.optimistic_loops.append(
+                OptimisticLoopInfo(info, optimistic_reads)
+            )
+            result.control_instructions |= info.spin_controls
+            result.control_keys |= info.control_keys
     return result
 
 

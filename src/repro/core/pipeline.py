@@ -186,8 +186,7 @@ def _run_atomig(ported, level, config, report):
     if config.analyze_annotations:
         with stats.stage("annotations"):
             annotations = analyze_annotations(
-                ported, config.volatile_blacklist, cache=cache,
-                jobs=config.function_jobs,
+                ported, config.volatile_blacklist, cache=cache
             )
         seed_keys |= annotations.location_keys
         marked |= annotations.marked_instructions
@@ -197,8 +196,7 @@ def _run_atomig(ported, level, config, report):
     if config.detect_spinloops:
         with stats.stage("spinloops"):
             spinloops = detect_spinloops(
-                ported, strict=config.strict_spinloop_definition, cache=cache,
-                jobs=config.function_jobs,
+                ported, strict=config.strict_spinloop_definition, cache=cache
             )
         seed_keys |= spinloops.control_keys
         marked |= spinloops.control_instructions
@@ -234,7 +232,7 @@ def _run_atomig(ported, level, config, report):
     if config.detect_optimistic and spinloops is not None:
         with stats.stage("optimistic"):
             optimistic = detect_optimistic_loops(
-                ported, spinloops, cache=cache, jobs=config.function_jobs
+                ported, spinloops, cache=cache
             )
         seed_keys |= optimistic.control_keys
         marked |= optimistic.control_instructions

@@ -256,8 +256,8 @@ def format_exploration_stats(stats):
     each model's verdict line.
     """
     rows = []
-    if getattr(stats, "engine", "") or getattr(stats, "por", ""):
-        backend = f"{stats.engine or '?'} engine, por={stats.por or '?'}"
+    if getattr(stats, "por", ""):
+        backend = f"por={stats.por}"
         if getattr(stats, "macro", ""):
             backend += f", macro={stats.macro}"
         rows.append(("backend", backend))

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.influence import InfluenceAnalysis
 from repro.analysis.loops import find_loops
-from repro.core.funcjobs import map_functions
 from repro.ir import instructions as ins
 
 
@@ -47,34 +46,25 @@ class SpinloopResult:
     control_keys: set = field(default_factory=set)
 
 
-def detect_spinloops(module, strict=False, cache=None, jobs=1):
+def detect_spinloops(module, strict=False, cache=None):
     """Detect spinloops in every function of ``module``.
 
     ``strict`` switches to the more restrictive literature definition
     (no stores inside the loop body at all) — the ablation the paper
     argues against in §3.5.
-
-    Detection is intra-procedural, so with ``jobs > 1`` functions are
-    classified in parallel; per-function results merge in module order.
     """
-
-    def worker(function):
+    result = SpinloopResult()
+    intern = cache.intern if cache is not None else (lambda key: key)
+    for function in module.functions.values():
         influence = InfluenceAnalysis(
             function,
             nonlocal_info=(cache.nonlocal_info(function)
                            if cache is not None else None),
         )
-        infos = []
         for loop in find_loops(function):
             info = _classify_loop(function, loop, influence, strict)
-            if info is not None:
-                infos.append(info)
-        return infos
-
-    result = SpinloopResult()
-    intern = cache.intern if cache is not None else (lambda key: key)
-    for infos in map_functions(module, worker, jobs=jobs):
-        for info in infos:
+            if info is None:
+                continue
             info.control_keys = {intern(key) for key in info.control_keys}
             result.spinloops.append(info)
             result.control_instructions |= info.spin_controls

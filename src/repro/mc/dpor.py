@@ -63,10 +63,9 @@ Structure of the implementation:
   forced after its entry's creation), ``("g",)`` (the escalation
   chain: spawners, allocators, unclassifiable steps), ``("np", tid)``
   (last non-pristine commit) and ``("b", tid)`` (the spawning event).
-  On the in-place engine every table write is journaled through the
-  ``OP_CLK`` opcode (:mod:`repro.mc.undo`) so
-  :func:`~repro.mc.undo.revert` restores the table bit-identically;
-  on the clone engine the table is copied by ``State.clone``.
+  Every table write is journaled through the ``OP_CLK`` opcode
+  (:mod:`repro.mc.undo`) so :func:`~repro.mc.undo.revert` restores the
+  table bit-identically.
 - **Race detection.**  When an event executes, its conflict
   predecessors are read straight from the clock tables; processing
   them newest-first while accumulating their clocks over the event's
@@ -87,19 +86,18 @@ Structure of the implementation:
   is explored statelessly; spin programs stay finite through the
   step bound plus two path-local prunes: *self-loops* (a transition
   whose canonical digest equals its source — the same stutter prune
-  the sleep engine applies) are dropped, and longer *path cycles*
+  the sleep backend applies) are dropped, and longer *path cycles*
   (digest equal to an ancestor on the current path) are cut while
   conservatively re-expanding every node on the cycle, so no ordering
   the cut continuation could have revealed is lost.
 
-Both engines (``inplace``/``clone``) drive the identical traversal;
-the property suite (``tests/property/test_dpor_identity.py``) pins
+The property suite (``tests/property/test_dpor_identity.py``) pins
 verdict identity against the sleep-set backend across the litmus
 gallery and random memory-order assignments.
 """
 
 from repro.mc.encode import state_digest
-from repro.mc.explorer import _action_key, _digest, _independent
+from repro.mc.explorer import _action_key, _independent
 from repro.mc.machine import FINISHED, LIMIT
 from repro.mc.undo import revert
 
@@ -133,14 +131,11 @@ class _Node:
     ``done`` the explored keys, ``sleep`` the keys proven covered.
     """
 
-    __slots__ = ("mark", "state", "event_depth", "digest", "enabled",
-                 "actions", "done", "todo", "sleep", "in_akey", "counted",
-                 "expanded")
+    __slots__ = ("mark", "event_depth", "digest", "enabled", "actions",
+                 "done", "todo", "sleep", "in_akey", "counted", "expanded")
 
-    def __init__(self, mark, state, event_depth, digest, enabled, sleep,
-                 in_akey):
-        self.mark = mark                # journal mark (in-place engine)
-        self.state = state              # state snapshot (clone engine)
+    def __init__(self, mark, event_depth, digest, enabled, sleep, in_akey):
+        self.mark = mark                # journal mark of this state
         self.event_depth = event_depth  # len(events) at this node
         self.digest = digest
         self.enabled = enabled          # [(action, akey)] — all enabled
@@ -297,7 +292,7 @@ def _races(state, events, akey, fp, creation):
 def _push_event(machine, state, events, akey, node_index, root_tids,
                 fp, escalated, creation, removed):
     """Record the just-applied action as an event and update the clock
-    tables (journaled on the in-place engine).
+    tables (journaled).
 
     ``removed`` is the committed entry's pre-apply window index when
     the commit deleted it (``None`` for visible steps and for the
@@ -452,23 +447,17 @@ def _insert_backtrack(nodes, events, race, event, stats):
     _expand_all(target, stats)
 
 
-def explore_dpor(machine, result, stats, macro_on, max_states,
-                 engine="inplace"):
-    """Source-DPOR traversal; drop-in peer of the ``_explore_*`` engines.
+def explore_dpor(machine, state, result, stats, macro_on, max_states):
+    """Source-DPOR traversal from the built root ``state``; drop-in peer
+    of the explorer's stateful traversal.
 
     ``macro_on`` only affects decision-point *counting* (single-choice
     nodes count as macro steps instead of decisions), mirroring the
-    sleep engine's metric; the traversal itself is identical either
+    sleep backend's metric; the traversal itself is identical either
     way, since DPOR needs a node per event as a backtrack target.
     """
-    inplace = engine != "clone"
     interner = machine.ctx.interner
-    try:
-        state = machine.initial_state()
-    except Exception as error:  # setup errors are violations too
-        result.violation = f"initialization failed: {error}"
-        return
-    journal = machine.journal = [] if inplace else None
+    journal = machine.journal
     root_tids = frozenset(state.threads)
     # Entries already sitting in windows after the initial quiescence
     # predate every event: seed their creation slots with None so the
@@ -486,11 +475,6 @@ def explore_dpor(machine, result, stats, macro_on, max_states,
     events = []        # _Event per applied action on the current path
     nodes = []         # _Node stack (the current path's choice points)
     path_digests = {}  # digest -> node index, for path-cycle detection
-
-    def digest_of():
-        if inplace:
-            return state_digest(state, interner)
-        return _digest(state.canonical())
 
     def open_node(in_akey, digest):
         """Turn the current state into a node, or handle a terminal.
@@ -538,8 +522,7 @@ def explore_dpor(machine, result, stats, macro_on, max_states,
             return None
         stats.sleep_prunes += len(pairs) - len(schedulable)
         node = _Node(
-            mark=len(journal) if inplace else 0,
-            state=None if inplace else state,
+            mark=len(journal),
             event_depth=len(events),
             digest=digest,
             enabled=pairs,
@@ -566,7 +549,7 @@ def explore_dpor(machine, result, stats, macro_on, max_states,
         node.todo.append(pick)
         return node
 
-    root = open_node(None, digest_of())
+    root = open_node(None, state_digest(state, interner))
     if root is not None:
         nodes.append(root)
         path_digests[root.digest] = 0
@@ -598,13 +581,9 @@ def explore_dpor(machine, result, stats, macro_on, max_states,
             node.counted = True
             result.states_explored += 1
 
-        # Restore the node's state (bit-identically on the in-place
-        # engine, via a fresh clone on the clone engine).
-        if inplace:
-            if len(journal) > node.mark:
-                revert(state, journal, node.mark)
-        else:
-            state = node.state.clone()
+        # Restore the node's state bit-identically.
+        if len(journal) > node.mark:
+            revert(state, journal, node.mark)
         del events[node.event_depth:]
 
         # Footprint and creation edge are read off the *pre*-apply
@@ -657,7 +636,7 @@ def explore_dpor(machine, result, stats, macro_on, max_states,
             result.notes.append("state budget exhausted")
             return
 
-        digest = digest_of()
+        digest = state_digest(state, interner)
         if digest == node.digest:
             # Stutter (failing CAS, re-read of an unchanged flag): the
             # state is unchanged, so every continuation through this

@@ -4,7 +4,7 @@ The legacy dedup path built a deeply nested ``State.canonical()`` tuple,
 ``repr()``-ed the whole nesting and BLAKE2-hashed the text — an
 O(state size) rebuild for every quiescent state, which BENCH_mc.json
 showed capping the explorer at ~8k states/s.  This module replaces that
-path for the fast (in-place) engine with three ideas (DESIGN.md §6f):
+path for the undo-log explorer with three ideas (DESIGN.md §6f):
 
 - **Per-thread byte encodings, memoized on the thread.**  Each thread's
   canonical content (status, frames, environments, allocas, pending

@@ -15,31 +15,24 @@ fewer scheduling decisions (DESIGN.md §6b):
   explored; the other is put to sleep (Godefroid-style), pruning the
   redundant half of every such diamond.
 
-Dedup keys are 128-bit BLAKE2 digests of the canonical state (not
-Python ``hash()``, whose 64-bit collisions could silently prune an
-unexplored state and mask a violation).  A stuck state with no enabled
-actions and unfinished threads is reported as a *deadlock* outcome with
-its trace; bound hits still mark the result *truncated*.
+Dedup keys are the 128-bit incremental BLAKE2 digests of
+:mod:`repro.mc.encode` (not Python ``hash()``, whose 64-bit collisions
+could silently prune an unexplored state and mask a violation).  A
+stuck state with no enabled actions and unfinished threads is reported
+as a *deadlock* outcome with its trace; bound hits still mark the
+result *truncated*.
 
-Two engines drive the same traversal (DESIGN.md §6f):
-
-- ``engine="inplace"`` (default): mutates **one** ``State`` under the
-  undo-log journal (:mod:`repro.mc.undo`), reverting between siblings,
-  and dedups on the incremental digest (:mod:`repro.mc.encode`) — no
-  per-transition ``clone()`` and no full-state re-serialization.
-- ``engine="clone"``: the legacy path — clone per transition, digest
-  via ``State.canonical()`` + ``repr`` + BLAKE2.  Kept as the A/B
-  oracle for bisecting engine regressions (``atomig check --engine``).
-
-Both engines visit the same states in the same order and report
-identical verdicts, ``states_explored`` and stats (the property suite
-and ``tests/mc/test_engines.py`` enforce this); only wall time and the
-internal digest values differ.  Set ``ATOMIG_DIGEST_CHECK=1`` to make
-the in-place engine verify every incremental digest against a
-from-scratch recomputation.
+The traversal mutates **one** ``State`` under the undo-log journal
+(:mod:`repro.mc.undo`), reverting between siblings, and dedups on the
+incremental digest — no per-transition ``clone()`` and no full-state
+re-serialization (DESIGN.md §6f).  The property suite
+(``tests/property/test_state_engine.py``) checks apply+revert against
+``State.clone()``/``State.canonical()``, and ``tests/mc/test_engines.py``
+pins verdicts and exploration counts.
+Set ``ATOMIG_DIGEST_CHECK=1`` to verify every incremental digest
+against a from-scratch recomputation.
 """
 
-import hashlib
 import json
 import os
 import time
@@ -50,38 +43,11 @@ from repro.mc.machine import Context, FINISHED, LIMIT, Machine, is_pending
 from repro.mc.models import get_model
 from repro.mc.undo import revert
 
-ENGINES = ("inplace", "clone")
-#: Partial-order-reduction backends: Godefroid sleep sets (the PR-2
-#: default), source-DPOR over reads-from equivalence (PR 9,
-#: :mod:`repro.mc.dpor`), or none (the slow validation oracle).
+#: Partial-order-reduction backends: Godefroid sleep sets (the
+#: default), source-DPOR over reads-from equivalence
+#: (:mod:`repro.mc.dpor`), or none (the slow validation oracle).
 PORS = ("none", "sleep", "dpor")
 MACROS = ("on", "off")
-
-
-def resolve_reduction(reduce=None, por=None, macro=None):
-    """Resolve the split ``por``/``macro`` knobs and the legacy alias.
-
-    ``reduce=`` historically disabled sleep sets *and* macro-stepping
-    together; it survives as a deprecated alias so existing callers
-    keep their exact semantics: ``reduce=False`` maps to
-    ``(por="none", macro="off")``, anything else to
-    ``(por="sleep", macro="on")``.  Explicit ``por``/``macro`` values
-    win over the alias, so ablations can isolate each reduction.
-
-    Returns ``(por, macro_on)`` with ``por`` validated against
-    :data:`PORS` and ``macro_on`` a bool.
-    """
-    if por is None:
-        por = "none" if reduce is False else "sleep"
-    if por not in PORS:
-        raise ValueError(f"unknown por backend {por!r} (use one of {PORS})")
-    if macro is None:
-        macro = "off" if reduce is False else "on"
-    if macro in (True, False):  # tolerate programmatic booleans
-        macro = "on" if macro else "off"
-    if macro not in MACROS:
-        raise ValueError(f"unknown macro mode {macro!r} (use 'on'/'off')")
-    return por, macro == "on"
 
 
 @dataclass
@@ -89,15 +55,16 @@ class ExplorationStats:
     """Observability record for one exploration (``atomig check --stats``).
 
     Serialized rows (``to_dict``/``to_json``) carry a ``schema``
-    version plus the ``engine``/``por``/``macro`` configuration that
-    produced them, so BENCH_mc.json cells are self-describing and a
-    consumer can tell a sleep-set row from a DPOR row without context.
-    Schema history: 1 = unversioned PR-7 shape (counters only);
-    2 = adds version + provenance + the DPOR counters.
+    version plus the ``por``/``macro`` configuration that produced
+    them, so BENCH_mc.json cells are self-describing and a consumer can
+    tell a sleep-set row from a DPOR row without context.  Schema
+    history: 1 = unversioned, counters only; 2 = adds version +
+    provenance + the DPOR counters; 3 = drops the ``engine``
+    provenance field (one exploration substrate remains).
     """
 
     #: to_dict()/to_json() layout version.
-    SCHEMA = 2
+    SCHEMA = 3
 
     #: Scheduling decision points (mirrored into CheckResult).
     states_explored: int = 0
@@ -133,8 +100,6 @@ class ExplorationStats:
     equivalence_classes: int = 0
     #: DPOR: path cycles detected, each conservatively re-expanded.
     cycle_expansions: int = 0
-    #: Provenance: exploration substrate ("inplace"/"clone").
-    engine: str = ""
     #: Provenance: partial-order-reduction backend ("none"/"sleep"/"dpor").
     por: str = ""
     #: Provenance: macro-stepping ("on"/"off").
@@ -157,7 +122,6 @@ class ExplorationStats:
     def to_dict(self):
         return {
             "schema": self.SCHEMA,
-            "engine": self.engine,
             "por": self.por,
             "macro": self.macro,
             "states_explored": self.states_explored,
@@ -184,8 +148,8 @@ class ExplorationStats:
 
     def summary(self):
         provenance = ""
-        if self.engine or self.por:
-            bits = [b for b in (self.engine, self.por) if b]
+        if self.por:
+            bits = [self.por]
             if self.macro:
                 bits.append(f"macro={self.macro}")
             provenance = f"[{'/'.join(bits)}] "
@@ -265,17 +229,6 @@ class CheckResult:
         )
 
 
-def _digest(canonical):
-    """Collision-safe dedup key: 128-bit BLAKE2 of the canonical form.
-
-    The canonical form is a nesting of tuples over ints, strings and
-    None, for which ``repr`` is a stable, injective serialization.
-    Used by the clone engine; the in-place engine dedups on the
-    incremental :func:`repro.mc.encode.state_digest` instead.
-    """
-    return hashlib.blake2b(repr(canonical).encode(), digest_size=16).digest()
-
-
 def _action_key(state, action):
     """Stable identity of an action, carrying the data independence needs.
 
@@ -338,16 +291,15 @@ def _independent(key_a, key_b):
 
 
 def check_module(module, model="wmm", entry="main", max_steps=2500,
-                 max_states=2_000_000, reduce=None, robustness=False,
-                 engine="inplace", por=None, macro=None):
+                 max_states=2_000_000, robustness=False, por="sleep",
+                 macro="on"):
     """Exhaustively check all executions of ``module`` from ``entry``.
 
     Returns the first assertion violation found (depth-first order) or
     an ``ok`` result once the reachable quiescent-state space is
     exhausted.
 
-    Reduction is controlled by two independent knobs (resolved by
-    :func:`resolve_reduction`):
+    Reduction is controlled by two independent knobs:
 
     - ``por``: the partial-order-reduction backend — ``"sleep"``
       (Godefroid sleep sets + ample steps + loop prunes, the default),
@@ -357,11 +309,9 @@ def check_module(module, model="wmm", entry="main", max_steps=2500,
     - ``macro``: ``"on"``/``"off"`` — compress single-choice runs into
       uncounted macro-steps.
 
-    ``reduce=`` is a deprecated alias kept for old callers:
-    ``reduce=False`` means ``por="none", macro="off"``; explicit
-    ``por``/``macro`` win over it.  All backends return identical
-    verdicts (the property suite enforces this); they differ only in
-    how many states they visit to reach them.
+    All backends return identical verdicts (the property suite
+    enforces this); they differ only in how many states they visit to
+    reach them.
 
     ``robustness=True`` runs the static critical-cycle pre-pass first
     (:mod:`repro.analysis.robustness`): a robust module provably shows
@@ -370,15 +320,12 @@ def check_module(module, model="wmm", entry="main", max_steps=2500,
     check returns ``ok`` immediately with zero explored states and
     ``verdict_source="robustness"``.  Non-robust modules fall back to
     full exploration.
-
-    ``engine`` selects the exploration substrate: ``"inplace"`` (the
-    fast undo-log engine, default) or ``"clone"`` (the legacy
-    clone-per-transition path).  Both produce identical verdicts and
-    state counts.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (use one of {ENGINES})")
-    por, macro_on = resolve_reduction(reduce, por, macro)
+    if por not in PORS:
+        raise ValueError(f"unknown por backend {por!r} (use one of {PORS})")
+    if macro not in MACROS:
+        raise ValueError(f"unknown macro mode {macro!r} (use 'on'/'off')")
+    macro_on = macro == "on"
     if robustness and model in ("tso", "wmm"):
         from repro.analysis.robustness import analyze_robustness
 
@@ -386,9 +333,7 @@ def check_module(module, model="wmm", entry="main", max_steps=2500,
         if robust.robust:
             result = CheckResult(model=model, verdict_source="robustness")
             result.stats = ExplorationStats(
-                wall_seconds=robust.wall_seconds,
-                engine=engine, por=por,
-                macro="on" if macro_on else "off",
+                wall_seconds=robust.wall_seconds, por=por, macro=macro,
             )
             result.notes.append(
                 f"statically robust: no critical cycle with an "
@@ -401,238 +346,47 @@ def check_module(module, model="wmm", entry="main", max_steps=2500,
     context = Context(module, model_obj, entry=entry)
     machine = Machine(context, max_steps=max_steps)
     result = CheckResult(model=model)
-    stats = ExplorationStats(
-        engine=engine, por=por, macro="on" if macro_on else "off"
-    )
+    stats = ExplorationStats(por=por, macro=macro)
     result.stats = stats
     started = time.perf_counter()
-    if por == "dpor":
-        from repro.mc.dpor import explore_dpor
-
-        explore_dpor(machine, result, stats, macro_on, max_states, engine)
+    try:
+        state = machine.initial_state()
+    except Exception as error:  # setup errors are violations too
+        result.violation = f"initialization failed: {error}"
     else:
-        sleep_on = por == "sleep"
-        explore = _explore_clone if engine == "clone" else _explore_inplace
-        explore(machine, result, stats, sleep_on, macro_on, max_states)
+        # Journal from the built root on: the traversal reverts to
+        # marks, never past the initial state.
+        machine.journal = []
+        if por == "dpor":
+            from repro.mc.dpor import explore_dpor
+
+            explore_dpor(machine, state, result, stats, macro_on, max_states)
+        else:
+            _explore_stateful(machine, state, result, stats, por == "sleep",
+                              macro_on, max_states)
     stats.wall_seconds = time.perf_counter() - started
     stats.states_explored = result.states_explored
     return result
 
 
-def _explore_clone(machine, result, stats, sleep_on, macro_on, max_states):
-    """Legacy engine: clone the full state per transition (A/B oracle).
+def _explore_stateful(machine, state, result, stats, sleep_on, macro_on,
+                      max_states):
+    """Stateful (dedup) DFS from the built root ``state``, for the
+    ``none`` and ``sleep`` backends.
 
     ``sleep_on`` gates the sleep sets, ample (invisible-commit) steps
     and the covered-set bookkeeping; ``macro_on`` gates macro-step
     compression of single-choice runs.  With both off the traversal is
-    the historic unreduced oracle (every fresh state counted); with
-    either on, the reduced probing path (loop prunes, decision-point
-    counting) is used.
-    """
-    reduce = sleep_on or macro_on
-    try:
-        initial = machine.initial_state()
-    except Exception as error:  # setup errors are violations too
-        result.violation = f"initialization failed: {error}"
-        return
+    the unreduced oracle (every fresh state counted); with either on,
+    the reduced probing path (loop prunes, decision-point counting) is
+    used.
 
-    stack = [(initial, frozenset())]
-    visited = {}  # digest -> sleep set the state was explored under
-    while stack:
-        if len(stack) > stats.peak_frontier:
-            stats.peak_frontier = len(stack)
-        state, sleep = stack.pop()
-        while True:
-            if state.violation is not None:
-                result.violation = state.violation
-                result.trace = state.trace_list()
-                return
-            key = _digest(state.canonical())
-            stored = visited.get(key)
-            revisit = stored is not None
-            if revisit:
-                if stored <= sleep:
-                    stats.dedup_hits += 1
-                    break
-                # Explored before, but with more actions asleep than
-                # now: only the formerly-slept ones still need work
-                # (Godefroid's state caching); future visits are
-                # covered by both sleep sets.
-                visited[key] = stored & sleep
-            else:
-                visited[key] = sleep
-                stats.states_visited += 1
-                if not reduce:
-                    result.states_explored += 1
-                if stats.states_visited >= max_states:
-                    result.truncated = True
-                    result.notes.append("state budget exhausted")
-                    return
-
-            if any(t.status == LIMIT for t in state.threads.values()):
-                result.truncated = True
-                if reduce and not revisit:
-                    result.states_explored += 1
-                break
-
-            actions = machine.enabled_actions(state)
-            if not actions:
-                if revisit:
-                    stats.dedup_hits += 1
-                    break
-                if reduce:
-                    result.states_explored += 1
-                if all(t.status == FINISHED
-                       for t in state.threads.values()):
-                    break  # normal termination
-                blocked = [
-                    f"T{tid}:{t.status}"
-                    for tid, t in state.threads.items()
-                    if t.status != FINISHED
-                ]
-                if not result.deadlock:
-                    result.deadlock = True
-                    result.deadlock_trace = state.trace_list() + [
-                        f"deadlock: no enabled actions "
-                        f"({', '.join(blocked)})"
-                    ]
-                result.notes.append(
-                    f"deadlocked state ({', '.join(blocked)})"
-                )
-                break
-
-            pairs = [
-                (action, _action_key(state, action)) for action in actions
-            ]
-            if revisit:
-                # Actions outside the stored sleep set were explored on
-                # an earlier visit; their subtrees cover this state, so
-                # they act like already-explored siblings.
-                explorable = [
-                    (action, akey) for action, akey in pairs
-                    if akey in stored and akey not in sleep
-                ]
-                covered = [akey for _, akey in pairs if akey not in stored]
-                if not explorable:
-                    stats.dedup_hits += 1
-                    break
-            else:
-                covered = ()
-                if sleep:
-                    explorable = [
-                        (action, akey) for action, akey in pairs
-                        if akey not in sleep
-                    ]
-                    stats.sleep_prunes += len(pairs) - len(explorable)
-                    if not explorable:
-                        break  # every ordering already covered elsewhere
-                else:
-                    explorable = pairs
-
-            if macro_on and len(explorable) == 1:
-                # Macro-step: no scheduling choice, run uninterrupted.
-                action, akey = explorable[0]
-                machine.apply_action(state, action)
-                sleep = frozenset(
-                    k for k in sleep if _independent(akey, k)
-                ) | frozenset(
-                    c for c in covered if _independent(akey, c)
-                )
-                stats.transitions += 1
-                stats.macro_steps += 1
-                continue
-
-            if sleep_on and not revisit:
-                invisible = next(
-                    (pair for pair in explorable
-                     if machine.action_invisible(state, pair[0])),
-                    None,
-                )
-                if invisible is not None:
-                    action, akey = invisible
-                    successor = state.clone()
-                    machine.apply_action(successor, action)
-                    # Cycle provision: determinize only into fresh
-                    # territory, else fall back to full expansion so no
-                    # competing action is ignored around a cycle.
-                    if (successor.violation is not None
-                            or _digest(successor.canonical()) not in visited):
-                        state = successor
-                        sleep = frozenset(
-                            k for k in sleep if _independent(akey, k)
-                        )
-                        stats.transitions += 1
-                        stats.ample_steps += 1
-                        continue
-
-            # Full expansion: a genuine scheduling decision.
-            stats.transitions += len(explorable)
-            if reduce:
-                children = []
-                for action, akey in explorable:
-                    successor = state.clone()
-                    machine.apply_action(successor, action)
-                    # Spin retries (a failing CAS, a re-read of an
-                    # unchanged flag) loop back to the canonically same
-                    # state: their subtree IS this state's subtree, so
-                    # exploring them adds nothing.
-                    if (successor.violation is None
-                            and _digest(successor.canonical()) == key):
-                        stats.loop_prunes += 1
-                        continue
-                    children.append((successor, akey))
-                if not children:
-                    break  # nothing but spin retries: covered right here
-                if macro_on and len(children) == 1:
-                    # The choice was illusory: continue as a macro-step.
-                    successor, akey = children[0]
-                    state = successor
-                    sleep = frozenset(
-                        k for k in sleep if _independent(akey, k)
-                    ) | frozenset(
-                        c for c in covered if _independent(akey, c)
-                    )
-                    stats.macro_steps += 1
-                    continue
-                result.states_explored += 1
-                for index, (successor, akey) in enumerate(children):
-                    child_sleep = {
-                        k for k in sleep if _independent(akey, k)
-                    }
-                    for c in covered:
-                        if _independent(akey, c):
-                            child_sleep.add(c)
-                    # Siblings pushed after this one are popped
-                    # (explored) first; their orderings cover this
-                    # child's, so they sleep here if independent.
-                    if sleep_on:
-                        for later_index in range(index + 1, len(children)):
-                            later_key = children[later_index][1]
-                            if _independent(later_key, akey):
-                                child_sleep.add(later_key)
-                    stack.append((successor, frozenset(child_sleep)))
-                break
-            # Unreduced: push every child, reusing the current state for
-            # the last one (the DFS pops it first).
-            last = len(explorable) - 1
-            for index, (action, _akey) in enumerate(explorable):
-                successor = state if index == last else state.clone()
-                machine.apply_action(successor, action)
-                stack.append((successor, frozenset()))
-            break
-
-
-def _explore_inplace(machine, result, stats, sleep_on, macro_on, max_states):
-    """Fast engine: one mutable state, undo-log reverts, incremental
-    digests.  ``sleep_on``/``macro_on`` split the reduction exactly as
-    in :func:`_explore_clone`.
-
-    The traversal is move-for-move identical to :func:`_explore_clone`;
-    only the substrate differs.  The DFS stack holds *descriptors*
-    ``(mark, action, sleep, digest)``: popping one reverts the journal
-    to ``mark`` (restoring the parent state bit-identically, caches
-    included) and applies ``action``.  Child probing applies, digests
-    and reverts each candidate; the probe digest rides along in the
+    One mutable state, undo-log reverts, incremental digests: the DFS
+    stack holds *descriptors* ``(mark, action, sleep, digest)``:
+    popping one reverts the journal to ``mark`` (restoring the parent
+    state bit-identically, caches included) and applies ``action``.
+    Child probing applies, digests and reverts each candidate; the
+    probe digest rides along in the
     descriptor (replaying a deterministic action from a bit-identical
     parent reproduces it), so a popped child is never digested twice.
     The descriptor of a child whose mutations are still applied when it
@@ -645,13 +399,7 @@ def _explore_inplace(machine, result, stats, sleep_on, macro_on, max_states):
     reduce = sleep_on or macro_on
     interner = machine.ctx.interner
     digest_check = bool(os.environ.get("ATOMIG_DIGEST_CHECK"))
-    try:
-        state = machine.initial_state()
-    except Exception as error:  # setup errors are violations too
-        result.violation = f"initialization failed: {error}"
-        return
-
-    journal = machine.journal = []
+    journal = machine.journal
     stack = [(0, None, frozenset(), None)]
     visited = {}  # digest -> sleep set the state was explored under
     while stack:
@@ -849,7 +597,7 @@ def _explore_inplace(machine, result, stats, sleep_on, macro_on, max_states):
                                       frozenset(child_sleep), cdigest))
                 break
             # Unreduced: push a descriptor per child; the last pushed is
-            # popped (applied + explored) first, as in the clone engine.
+            # popped (applied + explored) first.
             for action, _akey in explorable:
                 stack.append((node_mark, action, frozenset(), None))
             break

@@ -19,7 +19,7 @@ memory operations (DESIGN.md §6).  Key ideas:
   LDAXR/STLXR behaviour behind the MariaDB lf-hash bug (Figure 7).
 
 Fast-state support (DESIGN.md §6f): every mutating site journals an
-undo record when ``Machine.journal`` is active (the in-place engine),
+undo record when ``Machine.journal`` is active (the explorer),
 memory writes flow through ``State.mem_write``/``mem_del`` so a Zobrist
 digest of the memory image stays incrementally correct, and threads
 carry a memoized byte encoding (``Thread._enc``) invalidated via
@@ -678,7 +678,7 @@ class ExecutionError(Exception):
 class Machine:
     """Executes bursts and actions over states for one (module, model).
 
-    ``journal`` is ``None`` for the clone engine; the in-place engine
+    ``journal`` is ``None`` until a caller that reverts (the explorer)
     installs a list and every mutating site below appends undo records
     to it (see :mod:`repro.mc.undo` for the record catalogue).
     """
@@ -1062,7 +1062,7 @@ class Machine:
         owned = thread.owned
         top = len(frames) - 1
         if owned[top]:
-            frame = frames[top]  # in-place engine: always owned
+            frame = frames[top]  # explorer states are never cloned
         else:
             frame = thread.mutable_frame_at(top, journal)
         progressed = False

@@ -38,21 +38,16 @@ class CheckTask:
     entry: str = "main"
     max_steps: int = 2500
     max_states: int = 2_000_000
-    #: Deprecated both-knobs alias (None = defer to ``por``/``macro``).
-    reduce: bool = None
-    #: Partial-order-reduction backend ("none"/"sleep"/"dpor"); None =
-    #: explorer default (sleep, unless ``reduce=False``).
-    por: str = None
-    #: Macro-stepping ("on"/"off"); None = explorer default.
-    macro: str = None
+    #: Partial-order-reduction backend ("none"/"sleep"/"dpor").
+    por: str = "sleep"
+    #: Macro-stepping ("on"/"off").
+    macro: str = "on"
     #: Optional AtoMigConfig for the porting pipeline.
     config: object = None
     #: Parse ``source`` as IR text instead of Mini-C.
     is_ir: bool = False
     #: Run the static robustness pre-pass before exploring.
     robustness: bool = False
-    #: Exploration engine ("inplace"/"clone"); None = explorer default.
-    engine: str = None
 
 
 def run_task(task):
@@ -74,14 +69,10 @@ def run_task(task):
         module, _report = port_module(
             module, PortingLevel(task.level), config=task.config
         )
-    kwargs = {}
-    if task.engine is not None:
-        kwargs["engine"] = task.engine
     return check_module(
         module, model=task.model, entry=task.entry,
         max_steps=task.max_steps, max_states=task.max_states,
-        reduce=task.reduce, por=task.por, macro=task.macro,
-        robustness=task.robustness, **kwargs,
+        por=task.por, macro=task.macro, robustness=task.robustness,
     )
 
 

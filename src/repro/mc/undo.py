@@ -1,11 +1,11 @@
-"""Undo-log journal for the in-place exploration engine.
+"""Undo-log journal for the exploration engine.
 
-The clone engine copies the whole object graph per transition; the
-in-place engine instead mutates one ``State`` and *reverts*.  Every
-mutating site in :mod:`repro.mc.machine` appends a typed record to a
-flat journal list **before** mutating (when ``Machine.journal`` is
-active), and :func:`revert` pops records back to a mark, restoring the
-state bit-identically — including the incremental-digest caches:
+Rather than copy the whole object graph per transition, the explorer
+mutates one ``State`` and *reverts*.  Every mutating site in
+:mod:`repro.mc.machine` appends a typed record to a flat journal list
+**before** mutating (when ``Machine.journal`` is active), and
+:func:`revert` pops records back to a mark, restoring the state
+bit-identically — including the incremental-digest caches:
 
 - ``OP_ENC`` snapshots a thread's memoized byte encoding the first time
   the thread is touched after a digest, so reverting restores not just

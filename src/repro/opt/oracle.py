@@ -52,29 +52,21 @@ class Oracle:
     STATE_FLOOR = 20_000
 
     def __init__(self, model="wmm", entry="main", max_steps=2500,
-                 max_states=400_000, reduce=None, jobs=1,
-                 robustness=True, engine=None, analyzer=None, por=None,
-                 macro=None):
+                 max_states=400_000, jobs=1, robustness=True, analyzer=None,
+                 por="sleep", macro="on"):
         self.model = model
         self.entry = entry
         self.max_steps = max_steps
         self.max_states = max_states
-        self.reduce = reduce
-        #: POR backend / macro-stepping for every probe.  Like
-        #: ``engine``, deliberately *not* part of the verdict cache key:
-        #: all reduction backends are verdict-identical by construction
-        #: (the DPOR-vs-sleep identity property suite and the corpus CI
-        #: gate check it), so keying on them would only split the cache.
+        #: POR backend / macro-stepping for every probe.  Deliberately
+        #: *not* part of the verdict cache key: all reduction backends
+        #: are verdict-identical by construction (the DPOR-vs-sleep
+        #: identity property suite and the corpus CI gate check it), so
+        #: keying on them would only split the cache.
         self.por = por
         self.macro = macro
         self.jobs = jobs or 1
         self.robustness = robustness
-        #: Exploration engine override ("inplace"/"clone"); None keeps
-        #: the explorer default.  Deliberately *not* part of the verdict
-        #: cache key: the engines are verdict-identical by construction
-        #: (the engine-equivalence CI gate checks outcome and state
-        #: counts on every corpus program).
-        self.engine = engine
         self.baseline_outcome = None
         self.baseline_states = 0
         self.baseline_robust = False
@@ -158,8 +150,7 @@ class Oracle:
                     name="opt-probe", source=text, model=self.model,
                     level=None, entry=self.entry,
                     max_steps=self.max_steps, max_states=self.budget,
-                    reduce=self.reduce, por=self.por, macro=self.macro,
-                    is_ir=True, engine=self.engine,
+                    por=self.por, macro=self.macro, is_ir=True,
                 )
                 for _key, text in pending
             ]
@@ -214,11 +205,10 @@ class Oracle:
 
     def _check(self, module, max_states):
         self.checks_run += 1
-        kwargs = {} if self.engine is None else {"engine": self.engine}
         result = check_module(
             module, model=self.model, entry=self.entry,
             max_steps=self.max_steps, max_states=max_states,
-            reduce=self.reduce, por=self.por, macro=self.macro, **kwargs,
+            por=self.por, macro=self.macro,
         )
         self.states_total += result.states_explored
         return result
@@ -236,10 +226,10 @@ class Oracle:
         not the per-call adaptive budget: the adaptive budget is itself
         a function of (module, config), so including it would only
         split the cache without adding discrimination.  The reduction
-        knobs (``reduce``/``por``/``macro``) and the engine are
-        excluded for the same reason: every backend/engine combination
-        returns the same verdict by construction, so a verdict probed
-        under sleep sets is equally valid for a DPOR run.
+        knobs (``por``/``macro``) are excluded for the same reason:
+        every backend returns the same verdict by construction, so a
+        verdict probed under sleep sets is equally valid for a DPOR
+        run.
         """
         prefix = (
             f"{self.model}|{self.entry}|{self.max_steps}|"

@@ -38,8 +38,6 @@ class OptimizeTask:
     require_marks: bool = True
     #: Enable the oracle's static robustness fast path.
     robustness: bool = True
-    #: Exploration engine for the oracle's checks; None = default.
-    engine: str = None
     #: Seed the weakener from the static fence-repair pass (the
     #: repaired minimal-fence module) instead of the raw port.
     repair_seed: bool = False
@@ -72,8 +70,7 @@ def run_optimize_task(task):
         max_steps=task.max_steps, max_states=task.max_states,
         cost_model=cost_model,
         require_marks=task.require_marks, clone=False,
-        robustness=task.robustness, engine=task.engine,
-        repair_seed=task.repair_seed,
+        robustness=task.robustness, repair_seed=task.repair_seed,
     )
     return report.to_dict()
 

@@ -45,8 +45,8 @@ from repro.vm.costs import CostModel, estimate_cost
 def optimize_module(module, model="wmm", entry="main", max_steps=2500,
                     max_states=400_000, jobs=1, cost_model=None,
                     counts=None, require_marks=True, clone=True,
-                    robustness=True, engine=None, repair_seed=False,
-                    por=None, macro=None):
+                    robustness=True, repair_seed=False, por="sleep",
+                    macro="on"):
     """Weaken ``module``'s barriers as far as the oracle certifies.
 
     Returns ``(optimized_module, OptimizationReport)``.  The input
@@ -103,7 +103,7 @@ def optimize_module(module, model="wmm", entry="main", max_steps=2500,
     oracle = Oracle(
         model=model, entry=entry, max_steps=max_steps,
         max_states=max_states, jobs=jobs, robustness=robustness,
-        engine=engine, analyzer=analyzer, por=por, macro=macro,
+        analyzer=analyzer, por=por, macro=macro,
     )
     baseline = oracle.establish(work)
     report.baseline_outcome = baseline.outcome

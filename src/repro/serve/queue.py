@@ -227,7 +227,7 @@ def _execute_check(modules, level, config, models, options, fanout, emit):
     from repro.mc.parallel import CheckTask, run_task, run_tasks
 
     options = _pick(options, ("max_steps", "max_states", "por", "macro",
-                              "engine", "robustness", "entry"))
+                              "robustness", "entry"))
     options.setdefault("robustness", True)
     task_level = None if level in (None, "original") else level
     tasks = [
@@ -261,8 +261,7 @@ def _execute_optimize(modules, level, config, model, options, fanout, emit):
     )
 
     options = _pick(options, ("max_steps", "max_states", "require_marks",
-                              "robustness", "engine", "repair_seed", "arch",
-                              "entry"))
+                              "robustness", "repair_seed", "arch", "entry"))
     task_level = None if level in (None, "original") else level
     tasks = [
         OptimizeTask(name=name, source=source, model=model, level=task_level,

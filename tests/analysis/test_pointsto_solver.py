@@ -1,12 +1,12 @@
 """Equivalence and termination of the SCC-collapsing points-to solver.
 
 Inclusion constraints have a unique least fixpoint, so
-``PointsToAnalysis(module, solver="scc")`` must produce exactly the
-same solution as the reference ``solver="basic"`` worklist — on every
-module, and in particular on *cyclic* copy graphs (recursion binds
-actuals and formals in both directions, pointers round-trip through
-globals and load/store pairs), which is where cycle collapsing both
-pays off and is easiest to get wrong.
+``PointsToAnalysis`` (cycle collapsing + difference propagation) must
+produce exactly the same solution as the plain full-set worklist kept
+here as the reference — on every module, and in particular on *cyclic*
+copy graphs (recursion binds actuals and formals in both directions,
+pointers round-trip through globals and load/store pairs), which is
+where cycle collapsing both pays off and is easiest to get wrong.
 
 Solutions are compared by object *label* (and by ``class_key``), never
 by ``AbstractObject`` identity: the two analyses allocate their own
@@ -18,6 +18,53 @@ from hypothesis import strategies as st
 
 from repro.analysis.pointsto import PointsToAnalysis
 from repro.api import compile_source
+
+
+class ReferencePointsTo(PointsToAnalysis):
+    """The original full-set worklist solver, the reference only.
+
+    Same constraint generation; solving re-propagates whole points-to
+    sets along copy edges until nothing grows, with no cycle
+    collapsing (every node represents itself).
+    """
+
+    def _solve(self):
+        worklist = list(self._pts)
+        queued = set(map(id, worklist))
+
+        def push(node):
+            if id(node) not in queued:
+                queued.add(id(node))
+                worklist.append(node)
+
+        def add_copy(src, dst):
+            edges = self._copy_edges.setdefault(src, set())
+            if dst not in edges:
+                edges.add(dst)
+                if self._pts.get(src):
+                    push(src)
+
+        while worklist:
+            self.stats["rounds"] += 1
+            node = worklist.pop()
+            queued.discard(id(node))
+            pts = self._pts.get(node)
+            if not pts:
+                continue
+            # Complex constraints materialize into copy edges.
+            for dst in self._load_edges.get(node, ()):
+                for obj in pts:
+                    add_copy(obj, dst)
+            for src in self._store_edges.get(node, ()):
+                for obj in pts:
+                    add_copy(src, obj)
+            # Propagate along copy edges.
+            for dst in self._copy_edges.get(node, ()):
+                target = self._pts.setdefault(dst, set())
+                before = len(target)
+                target |= pts
+                if len(target) != before:
+                    push(dst)
 
 
 def _labels(objects):
@@ -49,8 +96,9 @@ def _solution(analysis):
 
 def assert_solvers_agree(source):
     module = compile_source(source)
-    scc = PointsToAnalysis(module, solver="scc")
-    basic = PointsToAnalysis(compile_source(source), solver="basic")
+    scc = PointsToAnalysis(module)
+    basic = ReferencePointsTo(compile_source(source))
+    assert basic.stats["sccs_collapsed"] == 0
     assert _solution(scc) == _solution(basic)
     return scc
 
@@ -155,20 +203,10 @@ def test_scc_solver_collapses_cycles():
     """At least one cyclic program actually exercises the collapse."""
     collapsed = {}
     for name, source in CYCLIC_PROGRAMS.items():
-        scc = PointsToAnalysis(compile_source(source), solver="scc")
+        scc = PointsToAnalysis(compile_source(source))
         collapsed[name] = scc.stats["sccs_collapsed"]
         assert scc.stats["rounds"] > 0
     assert any(count > 0 for count in collapsed.values()), collapsed
-
-
-def test_unknown_solver_rejected():
-    module = compile_source("int main() { return 0; }")
-    try:
-        PointsToAnalysis(module, solver="magic")
-    except ValueError as error:
-        assert "magic" in str(error)
-    else:
-        raise AssertionError("bad solver name accepted")
 
 
 # -- randomized equivalence -------------------------------------------------

@@ -1,8 +1,8 @@
 """Source-DPOR backend: verdict identity, reduction wins, plumbing.
 
 The DPOR explorer (``repro.mc.dpor``) must be a drop-in verdict oracle:
-same outcome as the sleep-set backend on every program, on both engines,
-under every model.  Where the two differ is *cost* — DPOR explores one
+same outcome as the sleep-set backend on every program, under every
+model.  Where the two differ is *cost* — DPOR explores one
 interleaving per happens-before equivalence class, which wins big on
 conflict-light programs (locks, mostly-disjoint data) and loses to the
 stateful sleep+dedup engine on convergent spin loops (where distinct
@@ -16,12 +16,7 @@ import pytest
 
 from repro.api import compile_source, port_module
 from repro.core.config import PortingLevel
-from repro.mc.explorer import (
-    ENGINES,
-    ExplorationStats,
-    check_module,
-    resolve_reduction,
-)
+from repro.mc.explorer import ExplorationStats, check_module
 from repro.mc.litmus import LITMUS_TESTS
 
 BOUNDS = dict(max_steps=600, max_states=400_000)
@@ -55,11 +50,8 @@ def test_litmus_dpor_matches_expected(name):
     source, expected = LITMUS_TESTS[name]
     module = compile_source(source, f"litmus_{name}")
     for model, want_ok in expected.items():
-        for engine in ENGINES:
-            result = check_module(
-                module, model=model, por="dpor", engine=engine, **BOUNDS
-            )
-            assert result.ok == want_ok, (name, model, engine)
+        result = check_module(module, model=model, por="dpor", **BOUNDS)
+        assert result.ok == want_ok, (name, model)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -70,24 +62,6 @@ def test_corpus_dpor_matches_sleep(name, model):
     dpor = check_module(module, model=model, por="dpor", **BOUNDS)
     assert _outcome(sleep) == _outcome(dpor), (name, model)
     assert sleep.truncated == dpor.truncated, (name, model)
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_dpor_engines_identical(engine):
-    """Both engines run the same DPOR traversal: identical counts."""
-    source, _expected = LITMUS_TESTS["SB"]
-    module = compile_source(source, "litmus_SB")
-    results = {
-        eng: check_module(module, model="wmm", por="dpor", engine=eng,
-                          **BOUNDS)
-        for eng in ENGINES
-    }
-    reference = results["clone"]
-    result = results[engine]
-    assert _outcome(result) == _outcome(reference)
-    assert result.states_explored == reference.states_explored
-    assert result.stats.states_visited == reference.stats.states_visited
-    assert result.stats.races_detected == reference.stats.races_detected
 
 
 # -- reduction behaviour ----------------------------------------------------
@@ -143,7 +117,6 @@ def test_dpor_counters_populated():
     result = check_module(module, model="wmm", por="dpor", **BOUNDS)
     stats = result.stats
     assert stats.por == "dpor"
-    assert stats.engine == "inplace"
     assert stats.equivalence_classes > 0
     assert stats.races_detected > 0
 
@@ -152,32 +125,23 @@ def test_dpor_counters_populated():
 
 
 def test_resolve_reduction_defaults():
-    assert resolve_reduction() == ("sleep", True)
-    assert resolve_reduction(reduce=True) == ("sleep", True)
-    assert resolve_reduction(reduce=False) == ("none", False)
-
-
-def test_resolve_reduction_explicit_wins_over_alias():
-    assert resolve_reduction(reduce=False, por="dpor") == ("dpor", False)
-    assert resolve_reduction(reduce=False, macro="on") == ("none", True)
-    assert resolve_reduction(por="none", macro="off") == ("none", False)
+    """check_module defaults to sleep sets with macro-stepping on."""
+    source, _expected = LITMUS_TESTS["SB"]
+    module = compile_source(source, "litmus_SB")
+    default = check_module(module, model="wmm", **BOUNDS)
+    explicit = check_module(module, model="wmm", por="sleep", macro="on",
+                            **BOUNDS)
+    assert (default.stats.por, default.stats.macro) == ("sleep", "on")
+    assert default.states_explored == explicit.states_explored
+    assert default.stats.transitions == explicit.stats.transitions
 
 
 def test_resolve_reduction_rejects_unknown():
-    with pytest.raises(ValueError):
-        resolve_reduction(por="bogus")
-    with pytest.raises(ValueError):
-        resolve_reduction(macro="sometimes")
-
-
-def test_no_reduce_alias_still_enumerates():
-    source, _expected = LITMUS_TESTS["SB"]
-    module = compile_source(source, "litmus_SB")
-    legacy = check_module(module, model="sc", reduce=False, **BOUNDS)
-    explicit = check_module(module, model="sc", por="none", macro="off",
-                            **BOUNDS)
-    assert legacy.states_explored == explicit.states_explored
-    assert _outcome(legacy) == _outcome(explicit)
+    module = compile_source(LITMUS_TESTS["SB"][0], "litmus_SB")
+    for knobs in ({"por": "bogus"}, {"macro": "sometimes"},
+                  {"macro": True}):
+        with pytest.raises(ValueError):
+            check_module(module, **knobs)
 
 
 # -- stats schema / provenance ----------------------------------------------
@@ -188,14 +152,14 @@ def test_stats_json_schema_and_provenance():
     module = compile_source(source, "litmus_MP")
     result = check_module(module, model="wmm", por="dpor", **BOUNDS)
     payload = json.loads(result.stats.to_json())
-    assert payload["schema"] == ExplorationStats.SCHEMA
+    assert payload["schema"] == ExplorationStats.SCHEMA == 3
     assert payload["por"] == "dpor"
-    assert payload["engine"] == "inplace"
     assert payload["macro"] == "on"
+    assert "engine" not in payload
     for key in ("races_detected", "backtrack_points",
                 "wakeup_reexplorations", "equivalence_classes"):
         assert key in payload
-    assert "[inplace/dpor" in str(result.stats)
+    assert str(result.stats).startswith("[dpor/macro=on] ")
 
 
 def test_format_exploration_stats_shows_dpor_rows():
@@ -231,7 +195,7 @@ def test_oracle_cache_key_ignores_por():
 
     sleep = Oracle(model="wmm", por="sleep")
     dpor = Oracle(model="wmm", por="dpor")
-    none = Oracle(model="wmm", reduce=False)
+    none = Oracle(model="wmm", por="none", macro="off")
     text = "@main { entry0: ret 0 }"
     assert sleep._digest(text) == dpor._digest(text) == none._digest(text)
 

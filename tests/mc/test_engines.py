@@ -1,54 +1,74 @@
-"""Engine equivalence: clone and in-place explorers are interchangeable.
+"""Pinned exploration counts: verdicts and work never drift silently.
 
-The in-place engine (undo-log DFS + incremental digests) must be a pure
-substrate swap: on every program, under every model, it must report the
-same outcome AND the same exploration counts as the reference clone
-engine — ``states_explored``, ``states_visited`` and ``transitions``,
-not just the verdict.  This is the contract that lets the Oracle's
-verdict cache ignore the engine entirely.
+``exploration_counts.json`` holds, for the five corpus programs under
+tso/wmm and every litmus-gallery program under each of its models, the
+verdict and the exploration counts of both the ``sleep`` and ``dpor``
+backends — ``states_explored``, ``states_visited`` and ``transitions``
+(plus the race/backtrack counters for DPOR).  The counts were recorded
+while a second, clone-per-transition exploration engine still existed,
+with both engines asserted equal case by case, so they pin the
+undo-log engine to what an independent substrate computed.  A change
+that alters any of them changes the traversal, not just its speed, and
+must update the file deliberately.
 """
+
+import json
+import os
 
 import pytest
 
 from repro.api import compile_source, port_module
 from repro.bench.corpus import BENCHMARKS
 from repro.core.config import PortingLevel
-from repro.mc.explorer import ENGINES, check_module
+from repro.mc.explorer import check_module
 from repro.mc.litmus import LITMUS_TESTS
 
-BOUNDS = dict(max_steps=600, max_states=400_000)
+with open(os.path.join(os.path.dirname(__file__),
+                       "exploration_counts.json")) as _handle:
+    PINNED = json.load(_handle)
+BOUNDS = PINNED["bounds"]
 CORPUS = ("message_passing", "ck_ring", "ck_spinlock_cas", "ck_sequence",
           "lf_hash")
+PORS = ("sleep", "dpor")
 
 
-def _results(module, model):
-    results = {}
-    for engine in ENGINES:
-        results[engine] = check_module(
-            module, model=model, engine=engine, **BOUNDS
-        )
-    return results
+def _counts(result):
+    counts = {
+        "outcome": result.outcome,
+        "truncated": result.truncated,
+        "states_explored": result.states_explored,
+        "states_visited": result.stats.states_visited,
+        "transitions": result.stats.transitions,
+    }
+    if result.stats.por == "dpor":
+        counts["races_detected"] = result.stats.races_detected
+        counts["backtrack_points"] = result.stats.backtrack_points
+    return counts
 
 
-def _assert_identical(results, label):
-    clone = results["clone"]
-    inplace = results["inplace"]
-    assert inplace.outcome == clone.outcome, label
-    assert inplace.states_explored == clone.states_explored, label
-    assert inplace.truncated == clone.truncated, label
-    assert inplace.stats.states_visited == clone.stats.states_visited, label
-    assert inplace.stats.transitions == clone.stats.transitions, label
+def test_pinned_cases_cover_the_suite():
+    """Every (program, model, backend) case is pinned, and no stale one."""
+    corpus = {f"{name}/{model}/{por}" for name in CORPUS
+              for model in ("tso", "wmm") for por in PORS}
+    litmus = {f"{name}/{model}/{por}"
+              for name, (_source, expected) in LITMUS_TESTS.items()
+              for model in expected for por in PORS}
+    assert set(PINNED["corpus"]) == corpus
+    assert set(PINNED["litmus"]) == litmus
 
 
 @pytest.mark.parametrize("name", CORPUS)
 @pytest.mark.parametrize("model", ["tso", "wmm"])
 def test_corpus_engines_identical(name, model):
-    bench = BENCHMARKS[name]
-    source = bench.mc_source()
+    """The engine reproduces what both engines reported, counts too."""
     module, _report = port_module(
-        compile_source(source, name), PortingLevel.ATOMIG
+        compile_source(BENCHMARKS[name].mc_source(), name),
+        PortingLevel.ATOMIG,
     )
-    _assert_identical(_results(module, model), f"{name}/{model}")
+    for por in PORS:
+        label = f"{name}/{model}/{por}"
+        result = check_module(module, model=model, por=por, **BOUNDS)
+        assert _counts(result) == PINNED["corpus"][label], label
 
 
 @pytest.mark.parametrize("name", sorted(LITMUS_TESTS))
@@ -56,13 +76,9 @@ def test_litmus_engines_identical(name):
     source, expected = LITMUS_TESTS[name]
     module = compile_source(source, f"litmus_{name}")
     for model in expected:
-        results = _results(module, model)
-        _assert_identical(results, f"{name}/{model}")
-        # ... and both agree with the calibrated verdict.
-        assert results["inplace"].ok == expected[model], f"{name}/{model}"
-
-
-def test_unknown_engine_rejected():
-    module = compile_source(LITMUS_TESTS["SB"][0], "sb")
-    with pytest.raises(ValueError):
-        check_module(module, engine="warp")
+        for por in PORS:
+            label = f"{name}/{model}/{por}"
+            result = check_module(module, model=model, por=por, **BOUNDS)
+            assert _counts(result) == PINNED["litmus"][label], label
+            # ... and the pinned verdict is the calibrated one.
+            assert result.ok == expected[model], label

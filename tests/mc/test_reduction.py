@@ -2,9 +2,10 @@
 
 The partial-order reduction (sleep sets + macro-stepping + self-loop
 pruning, DESIGN.md §4b) must never change a verdict: for every litmus
-test and corpus program, ``reduce=True`` and ``reduce=False`` must agree
-on ``ok``/``outcome`` — while exploring strictly fewer states on the
-programs with real scheduling redundancy.
+test and corpus program, the default reduced backend and the unreduced
+oracle (``por="none", macro="off"``) must agree on ``ok``/``outcome`` —
+while exploring strictly fewer states on the programs with real
+scheduling redundancy.
 """
 
 import pytest
@@ -13,16 +14,22 @@ from repro.api import compile_source, port_module
 from repro.bench.corpus import BENCHMARKS
 from repro.bench.tables import TABLE2_BENCHMARKS, _TABLE2_LEVELS
 from repro.core.config import PortingLevel
-from repro.mc.explorer import _digest, check_module
+from repro.mc.explorer import check_module
 from repro.mc.litmus import LITMUS_TESTS
 
 BOUNDS = dict(max_steps=600, max_states=400_000)
+#: The unreduced oracle's knobs.
+UNREDUCED = dict(por="none", macro="off")
+
+
+def _knobs(reduce):
+    return {} if reduce else UNREDUCED
 
 
 def _both(module, model="wmm", **kwargs):
     kwargs = {**BOUNDS, **kwargs}
-    oracle = check_module(module, model=model, reduce=False, **kwargs)
-    reduced = check_module(module, model=model, reduce=True, **kwargs)
+    oracle = check_module(module, model=model, **UNREDUCED, **kwargs)
+    reduced = check_module(module, model=model, **kwargs)
     return oracle, reduced
 
 
@@ -95,7 +102,7 @@ int main() {
 @pytest.mark.parametrize("reduce", [False, True])
 def test_two_lock_deadlock_reported_with_trace(model, reduce):
     module = compile_source(DEADLOCK_SOURCE, "two_lock_deadlock")
-    result = check_module(module, model=model, reduce=reduce, **BOUNDS)
+    result = check_module(module, model=model, **_knobs(reduce), **BOUNDS)
     assert result.outcome == "deadlock"
     assert result.deadlock
     assert result.ok  # a deadlock is not an assertion violation
@@ -141,7 +148,8 @@ int main() {
 }
 """, "abba")
     for reduce in (False, True):
-        result = check_module(module, model="sc", reduce=reduce, **BOUNDS)
+        result = check_module(module, model="sc", **_knobs(reduce),
+                              **BOUNDS)
         assert not result.deadlock
         assert not result.violation
 
@@ -150,17 +158,30 @@ def test_digest_has_no_small_int_collisions():
     """Python ``hash`` maps -1 and -2 to the same value; the dedup key
     must not (a silent collision could prune an unexplored state and
     mask a violation)."""
+    from repro.mc.encode import cell_hash, state_digest
+    from repro.mc.machine import Context, Machine
+    from repro.mc.models import get_model
+
     assert hash(-1) == hash(-2)
-    assert _digest((-1,)) != _digest((-2,))
-    assert _digest(("x", 1, (2,))) != _digest(("x", 1, (3,)))
+    assert cell_hash(0, -1) != cell_hash(0, -2)
+    module = compile_source(LITMUS_TESTS["SB"][0], "sb")
+    machine = Machine(Context(module, get_model("sc")))
+    interner = machine.ctx.interner
+    addr = machine.ctx.global_addr["x"]
+    digests = []
+    for value in (-1, -2):
+        state = machine.initial_state()
+        state.mem_write(addr, value)
+        digests.append(state_digest(state, interner))
+    assert digests[0] != digests[1]
     # Deterministic across calls (it keys the visited set).
-    assert _digest(("x", 1)) == _digest(("x", 1))
+    assert state_digest(state, interner) == digests[1]
 
 
 def test_stats_attached_and_consistent():
     module = compile_source(BENCHMARKS["ck_spinlock_cas"].mc_source(), "cas")
     ported, _report = port_module(module, PortingLevel.ATOMIG)
-    result = check_module(ported, model="wmm", reduce=True, **BOUNDS)
+    result = check_module(ported, model="wmm", **BOUNDS)
     stats = result.stats
     assert stats is not None
     assert stats.states_explored == result.states_explored

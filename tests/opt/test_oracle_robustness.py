@@ -57,13 +57,13 @@ def _release_store_candidate(ported):
 
 def test_digest_keys_on_every_configuration_parameter():
     """Two oracles differing in any verdict-relevant knob must never
-    share verdicts.  Backend knobs (``reduce``/``por``/``macro``/
-    ``engine``) are deliberately NOT keyed: every backend is
-    verdict-identical by the gated identity contract, so their
-    verdicts are interchangeable cache entries."""
+    share verdicts.  Backend knobs (``por``/``macro``) are
+    deliberately NOT keyed: every backend is verdict-identical by the
+    gated identity contract, so their verdicts are interchangeable
+    cache entries."""
     text = print_module(_ported())
     base = dict(model="wmm", entry="main", max_steps=2500,
-                max_states=400_000, reduce=True)
+                max_states=400_000)
     reference = Oracle(**base)._digest(text)
     variants = [
         {"model": "tso"},
@@ -74,7 +74,7 @@ def test_digest_keys_on_every_configuration_parameter():
     for override in variants:
         other = Oracle(**{**base, **override})._digest(text)
         assert other != reference, override
-    for override in [{"reduce": False}, {"por": "dpor"},
+    for override in [{"por": "none", "macro": "off"}, {"por": "dpor"},
                      {"macro": "off"}]:
         other = Oracle(**{**base, **override})._digest(text)
         assert other == reference, override

@@ -3,18 +3,24 @@
 The DPOR explorer is only admissible as a drop-in reduction (and the
 oracle cache is only allowed to ignore ``por`` in its keys) if every
 backend returns the same verdict on every program.  These properties
-pin that across three axes the hand-written tests cannot enumerate:
+pin that across axes the hand-written tests cannot enumerate:
 
-1. The litmus gallery under random (model, engine) combinations.
+1. The litmus gallery under random models.
 2. The weakened-litmus templates under *random memory-order
    assignments* — loads drawn from {relaxed, acquire, seq_cst}, stores
    from {relaxed, release, seq_cst} — which exercises every mix of
    immediate (SC/TSO) and windowed (WMM) operations, the boundary the
    footprinted-visible-step dependence in :mod:`repro.mc.dpor` lives
    on.
-3. Both exploration engines, so the journaled ``OP_CLK`` clock-table
-   reverts are checked against the clone engine's structural copies.
+3. The in-place DPOR engine against a clone-snapshot reference: every
+   node's state is copied with ``State.clone()`` when it opens, and
+   every journal revert back to the node must reproduce that copy,
+   ``OP_CLK`` clock-table entries included.  Random walks over the
+   same opcodes live in ``tests/property/test_state_engine.py``.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -25,7 +31,9 @@ except ImportError:  # pragma: no cover - hypothesis is a CI dependency
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
 from repro.api import compile_source
-from repro.mc.explorer import ENGINES, check_module
+from repro.mc import dpor
+from repro.mc.encode import state_digest, state_digest_fresh
+from repro.mc.explorer import check_module
 from repro.mc.litmus import (
     LITMUS_TESTS,
     WEAKENED_LITMUS,
@@ -58,14 +66,11 @@ def _signature(result):
 @given(
     name=st.sampled_from(sorted(LITMUS_TESTS)),
     model=st.sampled_from(MODELS),
-    engine=st.sampled_from(ENGINES),
 )
-def test_litmus_gallery_identity(name, model, engine):
+def test_litmus_gallery_identity(name, model):
     module = _litmus_module(name)
-    sleep = check_module(module, model=model, por="sleep", engine=engine,
-                         **BOUNDS)
-    dpor = check_module(module, model=model, por="dpor", engine=engine,
-                        **BOUNDS)
+    sleep = check_module(module, model=model, por="sleep", **BOUNDS)
+    dpor = check_module(module, model=model, por="dpor", **BOUNDS)
     assert _signature(sleep) == _signature(dpor)
     # The gallery's expected verdicts double as an absolute anchor, so
     # a bug shared by both backends cannot hide behind the identity.
@@ -103,26 +108,76 @@ def test_weakened_random_orders_identity(variant, model):
     assert _signature(sleep) == _signature(dpor), (name, model, overrides)
 
 
+@contextmanager
+def _clone_checked_dpor():
+    """Run DPOR with every node revert checked against a clone snapshot.
+
+    Each ``_Node`` copies the live state when it opens; each revert to
+    a node's journal mark must then restore that copy exactly —
+    canonical form, clock tables (which the digest excludes) and the
+    incremental digest caches.  Nodes on the DFS path have strictly
+    increasing marks, so the latest snapshot at a mark is the target's.
+    Yields a one-item list counting the reverts checked.
+    """
+    real_explore, real_revert, real_node = (
+        dpor.explore_dpor, dpor.revert, dpor._Node)
+    live = {}
+    snapshots = {}
+    checked = [0]
+
+    def explore(machine, state, *args):
+        live["machine"], live["state"] = machine, state
+        return real_explore(machine, state, *args)
+
+    class SnapshotNode(real_node):
+        __slots__ = ()
+
+        def __init__(self, mark, event_depth, digest, enabled, sleep,
+                     in_akey):
+            super().__init__(mark, event_depth, digest, enabled, sleep,
+                             in_akey)
+            snapshots[mark] = (live["state"].clone(), digest)
+
+    def revert(state, journal, mark):
+        real_revert(state, journal, mark)
+        reference, digest = snapshots[mark]
+        interner = live["machine"].ctx.interner
+        assert state.canonical() == reference.canonical()
+        assert state.clocks == reference.clocks
+        assert state_digest(state, interner) == digest
+        assert state_digest_fresh(state, interner) == digest
+        checked[0] += 1
+
+    with mock.patch.object(dpor, "explore_dpor", explore), \
+            mock.patch.object(dpor, "revert", revert), \
+            mock.patch.object(dpor, "_Node", SnapshotNode):
+        yield checked
+
+
 @settings(max_examples=25, deadline=None)
 @given(variant=weakened_variants(), model=st.sampled_from(MODELS))
 def test_dpor_engines_agree_on_random_orders(variant, model):
-    """Clock-table journaling: in-place DPOR == clone DPOR, counts too."""
+    """Clock-table journaling: in-place DPOR == clone reference, counts too.
+
+    The checked run must also explore exactly what the plain run does:
+    the snapshots observe, they never steer.
+    """
     name, overrides = variant
-    results = [
-        run_weakened_litmus(name, overrides, model, por="dpor",
-                            engine=engine, **BOUNDS)
-        for engine in ENGINES
-    ]
-    reference = results[0]
-    for result in results[1:]:
-        assert _signature(result) == _signature(reference)
-        assert result.states_explored == reference.states_explored
-        assert (result.stats.states_visited
-                == reference.stats.states_visited)
-        assert (result.stats.races_detected
-                == reference.stats.races_detected)
-        assert (result.stats.backtrack_points
-                == reference.stats.backtrack_points)
+    plain = run_weakened_litmus(name, overrides, model, por="dpor",
+                                **BOUNDS)
+    with _clone_checked_dpor() as checked:
+        reference = run_weakened_litmus(name, overrides, model,
+                                        por="dpor", **BOUNDS)
+    assert _signature(reference) == _signature(plain)
+    assert reference.states_explored == plain.states_explored
+    assert reference.stats.states_visited == plain.stats.states_visited
+    assert reference.stats.races_detected == plain.stats.races_detected
+    assert (reference.stats.backtrack_points
+            == plain.stats.backtrack_points)
+    # Every transition but the first out of each node is preceded by a
+    # revert, so a run with backtracking must have checked some.
+    if plain.stats.backtrack_points:
+        assert checked[0] > 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,4 @@
-"""Property tests: the fast-state engine is bit-identical to the clone path.
+"""Property tests: the undo-log explorer state is bit-identical to clones.
 
 Three guarantees underpin the in-place explorer (DESIGN.md §6f), and
 each is asserted here over random walks through the litmus gallery:
@@ -16,10 +16,16 @@ each is asserted here over random walks through the litmus gallery:
 - **Clone equivalence.**  A ``State.clone()`` taken before the action
   is the reference restore path; the reverted state must match the
   clone's canonical form and digest exactly.
+- **Clock-table fidelity.**  The walks interleave random DPOR
+  ``State.clock_set`` writes (every key shape :mod:`repro.mc.dpor`
+  binds) with the actions, so revert must also restore
+  ``state.clocks`` — which ``canonical()`` and the digest deliberately
+  exclude — to the clone snapshot; that is the only way the
+  ``OP_CLK`` records are checked outside a full DPOR run.
 
 The walks drive the real :class:`Machine` with a journal installed —
-the same configuration the in-place engine runs — so every journal
-opcode reachable from the gallery programs is exercised.
+the same configuration the explorer runs — so every journal opcode
+reachable from the gallery programs is exercised.
 """
 
 import pytest
@@ -39,6 +45,23 @@ from repro.mc.undo import revert
 
 GALLERY = sorted(LITMUS_TESTS)
 MODELS = ("sc", "tso", "wmm")
+#: One key of every shape the DPOR backend writes, with a few
+#: tid/address values so writes overwrite each other as well as add.
+CLOCK_KEYS = [
+    ("ta", 0, 1), ("ta", 1, 1), ("w", 1), ("r", 1), ("x", 2), ("iw", 1),
+    ("ir", 2), ("vt", 0), ("tc", 1), ("wc", 0), ("g",), ("np", 1),
+    ("b", 1),
+]
+#: Immutable values of the shapes the tables hold: event indices,
+#: index tuples (read lists) and window-slot tuples with ``None``.
+CLOCK_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=40),
+    st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+             max_size=3).map(tuple),
+)
+CLOCK_WRITES = st.lists(
+    st.tuples(st.sampled_from(CLOCK_KEYS), CLOCK_VALUES), max_size=3
+)
 
 # One machine per (litmus, model): compiling dominates the walk cost
 # and hypothesis replays hundreds of examples.
@@ -57,6 +80,11 @@ def _machine(name, model):
     return machine
 
 
+def _write_clocks(state, journal, writes):
+    for key, value in writes:
+        state.clock_set(key, value, journal)
+
+
 def _assert_bit_identical(state, interner, canon, digest):
     """The state must match the reference snapshot, caches included."""
     assert state.canonical() == canon
@@ -71,18 +99,25 @@ def _assert_bit_identical(state, interner, canon, digest):
 @given(
     name=st.sampled_from(GALLERY),
     model=st.sampled_from(MODELS),
-    choices=st.lists(st.integers(min_value=0, max_value=10 ** 6),
-                     min_size=1, max_size=25),
+    steps=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+                  CLOCK_WRITES, CLOCK_WRITES),
+        min_size=1, max_size=25,
+    ),
 )
-def test_undo_restores_bit_identical_states(name, model, choices):
-    """apply + revert == identity, at every step of a random walk."""
+def test_undo_restores_bit_identical_states(name, model, steps):
+    """apply + revert == identity, at every step of a random walk.
+
+    Each step writes clock entries before and after its action (DPOR
+    writes them after), all inside the reverted span.
+    """
     machine = _machine(name, model)
     interner = machine.ctx.interner
     journal = machine.journal
     del journal[:]
     state = machine.initial_state()
 
-    for choice in choices:
+    for choice, before, after_writes in steps:
         if state.violation is not None:
             break
         actions = machine.enabled_actions(state)
@@ -99,17 +134,24 @@ def test_undo_restores_bit_identical_states(name, model, choices):
         assert state_digest(reference, interner) == digest
 
         mark = len(journal)
+        _write_clocks(state, journal, before)
         machine.apply_action(state, action)
+        _write_clocks(state, journal, after_writes)
         # The mutated state's incremental digest is trustworthy.
         after = state_digest(state, interner)
         assert state_digest_fresh(state, interner) == after
 
         revert(state, journal, mark)
         _assert_bit_identical(state, interner, canon, digest)
-        # ... and against the clone path explicitly.
+        # ... and against the clone path explicitly, clock table too.
         assert state.canonical() == reference.canonical()
+        assert state.clocks == reference.clocks
 
-        machine.apply_action(state, action)  # replay and walk on
+        # Replay and walk on; the clock entries stay, so later writes
+        # overwrite bound keys as well as add fresh ones.
+        _write_clocks(state, journal, before)
+        machine.apply_action(state, action)
+        _write_clocks(state, journal, after_writes)
         assert state_digest(state, interner) == after
 
 
@@ -150,36 +192,46 @@ def test_digest_equality_matches_canonical_equality(name, model, choices):
 @given(
     name=st.sampled_from(GALLERY),
     model=st.sampled_from(MODELS),
-    choices=st.lists(st.integers(min_value=0, max_value=10 ** 6),
-                     min_size=1, max_size=12),
+    root_writes=CLOCK_WRITES,
+    steps=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+                  CLOCK_WRITES),
+        min_size=1, max_size=12,
+    ),
     depth=st.integers(min_value=1, max_value=12),
 )
-def test_multi_level_revert(name, model, choices, depth):
+def test_multi_level_revert(name, model, root_writes, steps, depth):
     """Reverting across several actions at once restores the DFS root.
 
     The explorer reverts to arbitrary ancestor marks when it pops
     across subtrees, not just to the immediate parent; this drives a
-    multi-action prefix and unwinds it in one revert.
+    multi-action prefix, with clock writes after each action, and
+    unwinds it in one revert.  Clock entries bound before the root
+    mark must come back with their root values.
     """
     machine = _machine(name, model)
     interner = machine.ctx.interner
     journal = machine.journal
     del journal[:]
     state = machine.initial_state()
+    _write_clocks(state, journal, root_writes)
 
+    root = state.clone()
     root_canon = state.canonical()
     root_digest = state_digest(state, interner)
     root_mark = len(journal)
 
     applied = 0
-    for choice in choices:
+    for choice, writes in steps:
         if applied >= depth or state.violation is not None:
             break
         actions = machine.enabled_actions(state)
         if not actions:
             break
         machine.apply_action(state, actions[choice % len(actions)])
+        _write_clocks(state, journal, writes)
         applied += 1
 
     revert(state, journal, root_mark)
     _assert_bit_identical(state, interner, root_canon, root_digest)
+    assert state.clocks == root.clocks
