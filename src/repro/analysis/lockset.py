@@ -39,8 +39,7 @@ under-approximates locksets — the safe direction for pruning.
 
 from dataclasses import dataclass, field
 
-from repro.analysis.callgraph import CallGraph
-from repro.analysis.nonlocal_ import NonLocalInfo
+from repro.analysis.cache import AnalysisCache
 from repro.ir import instructions as ins
 from repro.ir.values import Constant
 
@@ -58,6 +57,10 @@ class Transfer:
 
     def then(self, other):
         """Sequential composition: ``self`` first, then ``other``."""
+        if other is IDENTITY:
+            return self
+        if self is IDENTITY:
+            return other
         return Transfer(
             gen=frozenset((self.gen - other.kill) | other.gen),
             kill=frozenset(self.kill | other.kill),
@@ -131,15 +134,10 @@ class LocksetResult:
 
 def compute_locksets(module, callgraph=None, name_heuristic=True, cache=None):
     """Run the analysis on ``module``; returns a :class:`LocksetResult`."""
-    if cache is not None:
-        callgraph = callgraph or cache.callgraph()
-        infos = cache.nonlocal_infos()
-    else:
-        callgraph = callgraph or CallGraph(module)
-        infos = {
-            name: NonLocalInfo(function)
-            for name, function in module.functions.items()
-        }
+    if cache is None:
+        cache = AnalysisCache(module)
+    callgraph = callgraph or cache.callgraph()
+    infos = cache.nonlocal_infos()
     result = LocksetResult(module=module)
 
     _discover_locks(module, infos, result)
@@ -154,9 +152,9 @@ def compute_locksets(module, callgraph=None, name_heuristic=True, cache=None):
             result.entry_held[function.name] = frozenset()
         return result
 
-    _compute_summaries(module, callgraph, infos, result)
-    _compute_entry_held(module, callgraph, infos, result)
-    _record_per_instruction(module, infos, result)
+    states = _compute_summaries(module, callgraph, infos, result)
+    _compute_entry_held(module, callgraph, infos, result, states)
+    _record_per_instruction(module, infos, result, states)
     return result
 
 
@@ -272,7 +270,6 @@ def _discover_lock_pairs(module, result):
 
 
 def _instruction_transfer(instr, info, result):
-    all_keys = result.lock_keys
     if isinstance(instr, ins.Store):
         key = info.location_key(instr.pointer)
         if key in result.locks:
@@ -288,7 +285,7 @@ def _instruction_transfer(instr, info, result):
     if isinstance(instr, ins.Call):
         summary = result.summaries.get(instr.callee.name)
         if summary is None:
-            return Transfer(kill=all_keys, tainted=True)
+            return Transfer(kill=result.lock_keys, tainted=True)
         return summary
     # Fences, thread ops, computation: lockset-neutral.
     return IDENTITY
@@ -346,15 +343,25 @@ def _dataflow(function, info, result):
 
 
 def _compute_summaries(module, callgraph, infos, result):
+    """Summarize every function bottom-up; returns the dataflow states.
+
+    The states of a non-recursive function are final: all its callees
+    were summarized before it, and summaries never change afterwards.
+    Recursive functions are summarized up front without a dataflow, so
+    they have no states yet.
+    """
     all_keys = result.lock_keys
     recursive = callgraph.recursive_functions()
     for name in recursive:
         result.summaries[name] = Transfer(kill=all_keys, tainted=True)
+    states = {}
     for name in callgraph.bottom_up_order():
         if name in result.summaries:
             continue
         function = module.functions[name]
-        in_state, body = _dataflow(function, infos[name], result)
+        in_state, body = states[name] = _dataflow(
+            function, infos[name], result
+        )
         summary = None
         for block in function.blocks:
             if not isinstance(block.terminator, ins.Ret):
@@ -369,6 +376,7 @@ def _compute_summaries(module, callgraph, infos, result):
         result.summaries[name] = summary.then(
             _fnpair_token_transfer(name, result)
         )
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +393,19 @@ def _roots(module, callgraph):
     return roots
 
 
-def _compute_entry_held(module, callgraph, infos, result):
+def _compute_entry_held(module, callgraph, infos, result, states):
     all_keys = result.lock_keys
     roots = _roots(module, callgraph)
     held = {
         name: frozenset() if name in roots else all_keys
         for name in module.functions
     }
-    # Cache per-function dataflow states once; they do not depend on the
-    # caller (transfers are relative to function entry).
-    states = {
-        name: _dataflow(module.functions[name], infos[name], result)
-        for name in module.functions
-    }
+    # Per-function dataflow states do not depend on the caller
+    # (transfers are relative to function entry); only the recursive
+    # functions still lack them.
+    for name, function in module.functions.items():
+        if name not in states:
+            states[name] = _dataflow(function, infos[name], result)
 
     changed = True
     while changed:
@@ -426,12 +434,11 @@ def _compute_entry_held(module, callgraph, infos, result):
                 held[name] = new
                 changed = True
     result.entry_held = held
-    result._states = states
 
 
-def _record_per_instruction(module, infos, result):
+def _record_per_instruction(module, infos, result, states):
     for name, function in module.functions.items():
-        in_state, _body = result._states[name]
+        in_state, _body = states[name]
         entry = result.entry_held[name]
         for block in function.blocks:
             if block not in in_state:

@@ -27,9 +27,8 @@ benchmark gate re-verifies pruned modules under WMM to back it up.
 import enum
 from dataclasses import dataclass, field
 
-from repro.analysis.callgraph import CallGraph
+from repro.analysis.cache import AnalysisCache
 from repro.analysis.lockset import compute_locksets
-from repro.analysis.nonlocal_ import NonLocalInfo
 from repro.ir import instructions as ins
 
 
@@ -134,7 +133,9 @@ class RaceReport:
 def classify_module(module, lockset_result=None, name_heuristic=True,
                     cache=None):
     """Classify every non-local memory access of ``module``."""
-    callgraph = cache.callgraph() if cache is not None else CallGraph(module)
+    if cache is None:
+        cache = AnalysisCache(module)
+    callgraph = cache.callgraph()
     locks = lockset_result or compute_locksets(
         module, callgraph, name_heuristic=name_heuristic, cache=cache
     )
@@ -151,8 +152,7 @@ def classify_module(module, lockset_result=None, name_heuristic=True,
     accesses = []  # (function, instr, key, concurrent)
     by_key = {}
     for name, function in module.functions.items():
-        info = (cache.nonlocal_info(function) if cache is not None
-                else NonLocalInfo(function))
+        info = cache.nonlocal_info(function)
         for instr in function.instructions():
             if not instr.is_memory_access():
                 continue

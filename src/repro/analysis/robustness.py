@@ -52,9 +52,9 @@ The conflict graph is independent of memory orders and fences, so an
 import time
 from dataclasses import dataclass, field
 
+from repro.analysis.cache import AnalysisCache
 from repro.analysis.races import (
     AccessClass,
-    _spawn_epochs,
     _thread_contexts,
     classify_module,
 )
@@ -300,18 +300,16 @@ class RobustnessAnalyzer:
             self._nodes = []
             self._conflicts = {}
             return
+        # One cache for the whole build, so the race classification,
+        # its locksets and the graph share one call graph and one
+        # NonLocalInfo per function.
+        if cache is None:
+            cache = AnalysisCache(module)
         races = classify_module(
             module, name_heuristic=name_heuristic, cache=cache
         )
-        if cache is not None:
-            callgraph = cache.callgraph()
-        else:
-            from repro.analysis.callgraph import CallGraph
-
-            callgraph = CallGraph(module)
-        self._callgraph = callgraph
+        callgraph = self._callgraph = cache.callgraph()
         self._contexts = _thread_contexts(module, callgraph)
-        self._epochs = _spawn_epochs(module, callgraph)
         self._positions = _instruction_positions(module)
         self._build_nodes(races)
         self._build_conflicts()
@@ -329,7 +327,7 @@ class RobustnessAnalyzer:
         for finding in races.findings:
             if finding.classification is AccessClass.UNREACHABLE:
                 continue
-            if not self._epochs.get(finding.instr, True):
+            if not finding.concurrent:
                 continue  # never runs while another thread is live
             position = self._positions.get(finding.instr)
             if position is None:

@@ -18,9 +18,12 @@ Generated code mixes:
   implicit/explicit barrier counts);
 - a runnable ``main`` so the module also works on the VM.
 
-Determinism: a seeded :class:`random.Random` drives all choices.
+Determinism: a :class:`random.Random` seeded from the profile name and
+the ``seed`` argument drives all choices, so the program is a function
+of ``(name, scale, seed)`` in every process.
 """
 
+import hashlib
 import random
 from dataclasses import dataclass
 
@@ -63,7 +66,13 @@ class SyntheticCodebase:
     def __init__(self, profile, scale=100, seed=0):
         self.profile = profile
         self.scale = scale
-        self.rng = random.Random((hash(profile.name) & 0xFFFF) * 31 + seed)
+        # A digest, not ``hash()``: string hashes are salted per process
+        # (PYTHONHASHSEED), which would make the program differ per run.
+        name_hash = int.from_bytes(
+            hashlib.blake2b(profile.name.encode(), digest_size=2).digest(),
+            "big",
+        )
+        self.rng = random.Random(name_hash * 31 + seed)
         self.parts = []
         self.fn_counter = 0
         self.global_counter = 0

@@ -1,177 +1,144 @@
-"""Hand-written lexer for Mini-C source text."""
+"""Single-regex lexer for Mini-C source text."""
+
+import re
 
 from repro.errors import LexerError
 from repro.lang.tokens import KEYWORDS, OPERATORS, Token, TokenKind
+
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"', "'": "'"}
+_OPERATOR_KINDS = dict(OPERATORS)
+
+# One match skips the blanks before an item and matches the item.  Each
+# alternative is one capturing group, so ``Match.lastindex`` names the
+# item's class.  Character classes are spelled out in ASCII: ``\d`` and
+# ``\w`` would also accept non-ASCII digits and letters.  Operators keep
+# the longest-first order of ``OPERATORS``, so alternation matches
+# greedily; the one-character ones share a class.  ``(/\*)`` only
+# matches a block comment that never closes.
+(_COMMENT, _OPEN_COMMENT, _IDENT, _OPERATOR, _NUMBER, _DIGITS, _STRING,
+ _CHAR, _END) = range(1, 10)
+_OPERATOR_PATTERN = "|".join(
+    [re.escape(spelling) for spelling, _ in OPERATORS if len(spelling) > 1]
+    + ["[" + "".join(re.escape(spelling) for spelling, _ in OPERATORS
+                     if len(spelling) == 1) + "]"]
+)
+_STEP = re.compile(
+    r"[ \t\r\n]*(?:"
+    r"(//[^\n]*|\#[^\n]*|/\*[\s\S]*?\*/)"
+    r"|(/\*)"
+    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|(" + _OPERATOR_PATTERN + r")"
+    r"|((0[xX][0-9A-Fa-f]*|[0-9]+)[uUlL]*)"
+    r'|("(?:[^"\\]|\\[\s\S])*")'
+    r"|('(?:\\[\s\S]|[^\\])')"
+    r"|(\Z))"
+)
+_BLANKS = re.compile(r"[ \t\r\n]*")
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+
+def _unescape(match):
+    return _ESCAPES.get(match[1], match[1])
 
 
 class Lexer:
     """Scans Mini-C source text into a list of :class:`Token` objects.
 
-    The lexer handles ``//`` and ``/* */`` comments, decimal / hex /
-    octal / character literals, string literals with simple escapes, and
-    all Mini-C operators and keywords.
+    The lexer handles ``//`` and ``/* */`` comments, ``#`` lines,
+    decimal / hex / octal / character literals, string literals with
+    simple escapes, and all Mini-C operators and keywords.  Positions
+    are 1-based; a column counts characters from the last newline.
     """
 
     def __init__(self, source):
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
     def tokenize(self):
         """Return the full token stream, terminated by an EOF token."""
+        source = self.source
+        step = _STEP.match
+        count = source.count
         tokens = []
+        append = tokens.append
+        keyword = KEYWORDS.get
+        operator = _OPERATOR_KINDS.__getitem__
+        ident = TokenKind.IDENT
+        pos = 0
+        line = 1
+        line_start = 0  # offset of the current line's first character
         while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
+            match = step(source, pos)
+            if match is None:
+                raise self._error(pos, line, line_start)
+            group = match.lastindex
+            start, end = match.span(group)
+            if count("\n", pos, start):
+                line += count("\n", pos, start)
+                line_start = source.rindex("\n", pos, start) + 1
+            pos = end
+            column = start - line_start + 1
+            if group == _IDENT:
+                text = source[start:end]
+                append(Token(keyword(text, ident), text, line, column))
+            elif group == _OPERATOR:
+                text = source[start:end]
+                append(Token(operator(text), text, line, column))
+            elif group == _NUMBER:
+                append(self._number(match, line, column))
+            elif group == _END:
+                append(Token(TokenKind.EOF, "", line, column))
                 return tokens
-
-    # -- internal helpers ------------------------------------------------
-
-    def _peek(self, offset=0):
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
+            elif group == _OPEN_COMMENT:
+                raise LexerError("unterminated block comment", line, column)
             else:
-                self.column += 1
-            self.pos += 1
+                if group == _STRING:
+                    text = source[start + 1 : end - 1]
+                    if "\\" in text:
+                        text = _ESCAPE.sub(_unescape, text)
+                    append(Token(TokenKind.STRING_LIT, text, line, column, text))
+                elif group == _CHAR:
+                    ch = source[start + 1]
+                    if ch == "\\":
+                        ch = _ESCAPES.get(source[start + 2], source[start + 2])
+                    append(Token(TokenKind.CHAR_LIT, ch, line, column, ord(ch)))
+                # Comments, strings and character literals may span lines.
+                if count("\n", start, end):
+                    line += count("\n", start, end)
+                    line_start = source.rindex("\n", start, end) + 1
 
-    def _skip_trivia(self):
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                # Preprocessor-style lines (e.g. ``#define``) are treated
-                # as comments: the corpus uses them only for readability.
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexerError(
-                        "unterminated block comment", start_line, start_col
-                    )
-            else:
-                return
-
-    def _next_token(self):
-        self._skip_trivia()
-        line, column = self.line, self.column
-        if self.pos >= len(self.source):
-            return Token(TokenKind.EOF, "", line, column)
-
-        ch = self._peek()
-        if ch.isascii() and (ch.isalpha() or ch == "_"):
-            return self._lex_ident(line, column)
-        if ch in "0123456789":
-            return self._lex_number(line, column)
-        if ch == '"':
-            return self._lex_string(line, column)
-        if ch == "'":
-            return self._lex_char(line, column)
-
-        for spelling, kind in OPERATORS:
-            if self.source.startswith(spelling, self.pos):
-                self._advance(len(spelling))
-                return Token(kind, spelling, line, column)
-
-        raise LexerError(f"unexpected character {ch!r}", line, column)
-
-    def _lex_ident(self, line, column):
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self._peek().isascii()
-            and (self._peek().isalnum() or self._peek() == "_")
-        ):
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, line, column)
-
-    def _lex_number(self, line, column):
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self.pos < len(self.source) and (
-                self._peek().isdigit() or self._peek().lower() in "abcdef"
-            ):
-                self._advance()
-            text = self.source[start : self.pos]
-            value = int(text, 16)
+    def _number(self, match, line, column):
+        digits = match[_DIGITS]
+        if digits[1:2] in ("x", "X"):
+            if len(digits) == 2:
+                raise LexerError(f"invalid hex literal {digits!r}", line, column)
+            value = int(digits, 16)
+        elif digits[0] == "0" and len(digits) > 1:
+            try:
+                value = int(digits, 8)
+            except ValueError:
+                raise LexerError(
+                    f"invalid octal literal {digits!r}", line, column
+                ) from None
         else:
-            while self.pos < len(self.source) and self._peek() in "0123456789":
-                self._advance()
-            text = self.source[start : self.pos]
-            if text.startswith("0") and len(text) > 1:
-                try:
-                    value = int(text, 8)
-                except ValueError:
-                    raise LexerError(
-                        f"invalid octal literal {text!r}", line, column
-                    ) from None
-            else:
-                value = int(text)
-        # Swallow C integer suffixes (``UL``, ``LL`` ...): Mini-C has one
-        # integer type, so the suffix carries no information.
-        while self.pos < len(self.source) and self._peek() in "uUlL":
-            self._advance()
-            text = self.source[start : self.pos]
-        return Token(TokenKind.INT_LIT, text, line, column, value)
+            value = int(digits)
+        # C integer suffixes (``UL``, ``LL`` ...) stay in the text but
+        # carry no information: Mini-C has one integer type.
+        return Token(TokenKind.INT_LIT, match[_NUMBER], line, column, value)
 
-    _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"', "'": "'"}
-
-    def _lex_string(self, line, column):
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            if self.pos >= len(self.source):
-                raise LexerError("unterminated string literal", line, column)
-            ch = self._peek()
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                chars.append(self._ESCAPES.get(esc, esc))
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
-        text = "".join(chars)
-        return Token(TokenKind.STRING_LIT, text, line, column, text)
-
-    def _lex_char(self, line, column):
-        self._advance()  # opening quote
-        ch = self._peek()
-        if ch == "\\":
-            self._advance()
-            ch = self._ESCAPES.get(self._peek(), self._peek())
-        self._advance()
-        if self._peek() != "'":
-            raise LexerError("unterminated character literal", line, column)
-        self._advance()
-        return Token(TokenKind.CHAR_LIT, ch, line, column, ord(ch))
+    def _error(self, pos, line, line_start):
+        """The error for the item after the blanks at ``pos``, which
+        no alternative of the step pattern matched."""
+        start = _BLANKS.match(self.source, pos).end()
+        if self.source.count("\n", pos, start):
+            line += self.source.count("\n", pos, start)
+            line_start = self.source.rindex("\n", pos, start) + 1
+        column = start - line_start + 1
+        ch = self.source[start]
+        if ch == '"':
+            return LexerError("unterminated string literal", line, column)
+        if ch == "'":
+            return LexerError("unterminated character literal", line, column)
+        return LexerError(f"unexpected character {ch!r}", line, column)
 
 
 def tokenize(source):

@@ -1,9 +1,13 @@
 """Recursive-descent parser for Mini-C.
 
-The grammar is a classic C subset.  Precedence climbing handles
-expressions; declarations are distinguished from expression statements by
-one-token lookahead on type keywords (Mini-C has no typedef-name
-ambiguity because ``typedef`` only aliases builtin spellings).
+The grammar is a classic C subset.  Statements, declarations and the
+assignment, conditional, unary and postfix levels of expressions are
+recursive descent.  The ten binary tiers are parsed by precedence
+climbing over one ``{kind: (precedence, spelling)}`` table, with one
+call per operand; every tier associates to the left.  Declarations are
+distinguished from expression statements by one-token lookahead on type
+keywords (Mini-C has no typedef-name ambiguity because ``typedef`` only
+aliases builtin spellings).
 """
 
 from repro.errors import ParseError
@@ -53,6 +57,13 @@ _BINARY_TIERS = [
     [(T.PLUS, "+"), (T.MINUS, "-")],
     [(T.STAR, "*"), (T.SLASH, "/"), (T.PERCENT, "%")],
 ]
+#: {kind: (precedence, spelling)} of every binary operator; a larger
+#: precedence binds tighter.
+_BINARY_OPS = {
+    kind: (precedence, op)
+    for precedence, tier in enumerate(_BINARY_TIERS)
+    for kind, op in tier
+}
 
 
 class Parser:
@@ -66,11 +77,13 @@ class Parser:
     # -- token plumbing ---------------------------------------------------
 
     def _peek(self, offset=0):
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # ``pos`` never moves past the closing EOF token.
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def _at(self, *kinds):
-        return self._peek().kind in kinds
+        return self.tokens[self.pos].kind in kinds
 
     def _advance(self):
         token = self.tokens[self.pos]
@@ -555,7 +568,7 @@ class Parser:
         return left
 
     def _parse_conditional(self):
-        cond = self._parse_binary(0)
+        cond = self._parse_binary()
         if self._match(T.QUESTION):
             then_expr = self._parse_assignment()
             self._expect(T.COLON)
@@ -563,22 +576,23 @@ class Parser:
             return ast.Conditional(cond, then_expr, else_expr, line=cond.line)
         return cond
 
-    def _parse_binary(self, tier):
-        if tier >= len(_BINARY_TIERS):
-            return self._parse_unary()
-        left = self._parse_binary(tier + 1)
+    def _parse_binary(self, min_precedence=0):
+        """Precedence climbing: parse operands and every operator that
+        binds at least as tightly as ``min_precedence``.
+
+        The right operand only takes operators that bind strictly
+        tighter, so operators of one tier associate to the left.
+        """
+        left = self._parse_unary()
         while True:
             token = self._peek()
-            matched = None
-            for kind, op in _BINARY_TIERS[tier]:
-                if token.kind is kind:
-                    matched = op
-                    break
-            if matched is None:
+            entry = _BINARY_OPS.get(token.kind)
+            if entry is None or entry[0] < min_precedence:
                 return left
+            precedence, op = entry
             self._advance()
-            right = self._parse_binary(tier + 1)
-            left = ast.Binary(matched, left, right, line=token.line)
+            right = self._parse_binary(precedence + 1)
+            left = ast.Binary(op, left, right, line=token.line)
 
     def _parse_unary(self):
         token = self._peek()

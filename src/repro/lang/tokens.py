@@ -1,7 +1,7 @@
 """Token kinds and the Token value object for the Mini-C lexer."""
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -179,8 +179,7 @@ OPERATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its source position."""
 
     kind: TokenKind

@@ -282,11 +282,31 @@ def _races(state, events, akey, fp, creation):
         e = events[idx]
         if _hb(e, acc):
             continue  # already ordered: not reversible
+        if _reserved_against(e, akey):
+            continue
         races.append(e)
         for proc, val in e.clock.items():
             if acc.get(proc, 0) < val:
                 acc[proc] = val
     return races
+
+
+def _reserved_against(e, akey):
+    """Is event ``e`` another thread's rmw-store that the next ``akey``
+    commit could never have run before?
+
+    A successful rmw exec reserves its address until the same thread's
+    rmw-store commits, and the reservation disables every other
+    thread's non-load commit there (``Machine.enabled_actions``).  So
+    such a commit is never enabled at ``pre(e)``, and reversing the
+    pair there is impossible.  The reversible race is with the exec
+    that took the reservation: it stays a candidate through the
+    ``("x", addr)`` table, and skipping ``e`` without joining its
+    clock keeps the exec from being ordered away.
+    """
+    return (akey[0] == "c" and akey[2] != "load"
+            and e.akey[0] == "c" and e.akey[2] == "rmw_store"
+            and e.akey[3] == akey[3] and e.tid != akey[1])
 
 
 def _push_event(machine, state, events, akey, node_index, root_tids,

@@ -92,11 +92,15 @@ class Context:
             size = max(gvar.value_type.size, 1)
             self.global_regions.append((addr, addr + size, gvar.name))
             addr += size
+        # Only the entry and what it transitively calls or spawns can
+        # ever get a frame, so every per-function table below covers
+        # just that closure.
+        functions = _entry_closure(module, entry)
         # Frame-free operand values (constants, global addresses),
         # resolved once: the interpreter's ``_value`` becomes one dict
         # probe + env lookup instead of an isinstance chain.
         self.operand_values = {}
-        for function in module.functions.values():
+        for function in functions:
             for instr in function.instructions():
                 for operand in instr.operands:
                     if isinstance(operand, Constant):
@@ -109,26 +113,26 @@ class Context:
         # size, which every encode/clone/canonical is O() of.
         self.dies = {}
         self.unused = set()
-        for function in module.functions.values():
+        for function in functions:
             fdies, funused = liveness_tables(function)
             self.dies.update(fdies)
             self.unused |= funused
         # Static classification: which accesses are provably private.
         self.private = set()
-        for function in module.functions.values():
+        for function in functions:
             info = NonLocalInfo(function)
             for instr in function.instructions():
                 if instr.is_memory_access():
                     pointer = instr.accessed_pointer()
                     if not info.is_nonlocal_pointer(pointer):
                         self.private.add(id(instr))
-        self._compute_access_sets(module)
+        self._compute_access_sets(functions)
 
     # -- static reachable-access sets (for partial-order reduction) -------
 
-    def _compute_access_sets(self, module):
-        """For every function, which globals its transitive closure may
-        touch non-privately.
+    def _compute_access_sets(self, functions):
+        """For every function of ``functions``, which globals its
+        transitive closure may touch non-privately.
 
         ``func_access[name]`` is ``(reads, runknown, writes, wunknown)``:
         the globals the function (or anything it transitively calls or
@@ -139,11 +143,15 @@ class Context:
         ``spawn_access[name]`` is the same 4-tuple restricted to code
         only reachable through ``thread_create`` edges — the accesses a
         *new* thread spawned from here might perform.
+
+        Both fixpoints only flow from callee to caller, so restricting
+        ``functions`` to a closure over call and spawn edges leaves the
+        sets of its members unchanged.
         """
         direct = {}
         call_edges = {}
         create_edges = {}
-        for function in module.functions.values():
+        for function in functions:
             reads, writes = set(), set()
             runknown = wunknown = False
             calls = set()
@@ -236,6 +244,22 @@ class Context:
             if start <= addr < end:
                 return name
         return None
+
+
+def _entry_closure(module, entry):
+    """``entry`` and every function it transitively calls or spawns, in
+    module order."""
+    seen = {entry} if entry in module.functions else set()
+    frontier = list(seen)
+    while frontier:
+        for instr in module.functions[frontier.pop()].instructions():
+            if isinstance(instr, (ins.Call, ins.ThreadCreate)):
+                name = instr.callee.name
+                if name not in seen and name in module.functions:
+                    seen.add(name)
+                    frontier.append(name)
+    return [function for name, function in module.functions.items()
+            if name in seen]
 
 
 def _pointer_root(pointer):

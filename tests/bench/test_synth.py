@@ -1,7 +1,13 @@
 """Tests for the synthetic codebase generator."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.api import compile_source, port_module, run_module
 from repro.bench.synth import PAPER_TABLE3, SyntheticCodebase, generate_codebase
 from repro.core.config import PortingLevel
@@ -12,6 +18,27 @@ def test_generation_is_deterministic():
     a = generate_codebase("memcached", scale=100, seed=3)
     b = generate_codebase("memcached", scale=100, seed=3)
     assert a == b
+
+
+def test_generation_ignores_the_string_hash_salt():
+    """Two processes with different PYTHONHASHSEED values generate the
+    same program."""
+    script = (
+        "import hashlib\n"
+        "from repro.bench.synth import generate_codebase\n"
+        "source = generate_codebase('memcached', scale=400)\n"
+        "print(hashlib.blake2b(source.encode()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    digests = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        digests.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout)
+    source = generate_codebase("memcached", scale=400)
+    assert digests == [hashlib.blake2b(source.encode()).hexdigest() + "\n"] * 2
 
 
 def test_different_seeds_differ():

@@ -112,3 +112,28 @@ def test_logical_operators():
     assert kinds("&& || ! & |") == [
         T.AND_AND, T.OR_OR, T.BANG, T.AMP, T.PIPE,
     ]
+
+
+@pytest.mark.parametrize("source, column", [
+    ("int x = 0x;", 9),
+    ("0x²", 1),     # superscript two: str.isdigit, not a hex digit
+    ("0x٣", 1),     # Arabic-Indic three: str.isdecimal, still not hex
+    ("a =\n  0XL;", 3),
+])
+def test_hex_prefix_without_digits_raises_with_position(source, column):
+    with pytest.raises(LexerError, match="invalid hex literal '0[xX]'") as excinfo:
+        tokenize(source)
+    assert excinfo.value.column == column
+    assert excinfo.value.line == source.count("\n", 0, source.index("0")) + 1
+
+
+def test_hex_digits_are_ascii_only():
+    with pytest.raises(LexerError, match="unexpected character"):
+        tokenize("0x1٣")
+
+
+def test_error_positions_count_from_the_last_newline():
+    with pytest.raises(LexerError) as excinfo:
+        tokenize('int a;\n/* two\nlines */  "open')
+    assert (excinfo.value.line, excinfo.value.column) == (3, 11)
+    assert "unterminated string literal" in str(excinfo.value)

@@ -111,6 +111,58 @@ def test_dpor_stutter_applies_cycle_proviso():
                                  **BOUNDS)) == "violation"
 
 
+CAS_LOCK = """
+int lock_word = 0;
+int counter = 0;
+void thread_fn() {{
+    while (atomic_cmpxchg_explicit(&lock_word, 0, 1, memory_order_relaxed) != 0) {{ }}
+    int c = counter;
+    counter = c + 1;
+    atomic_store_explicit(&lock_word, 0, memory_order_{thread_unlock});
+}}
+int main() {{
+    int t = thread_create(thread_fn);
+    while (atomic_cmpxchg_explicit(&lock_word, 0, 1, memory_order_relaxed) != 0) {{ }}
+    int c = counter;
+    counter = c + 1;
+    atomic_store_explicit(&lock_word, 0, memory_order_{main_unlock});
+    thread_join(t);
+    assert(counter == 2);
+    return 0;
+}}
+"""
+UNLOCK_ORDERS = ("relaxed", "release", "seq_cst")
+
+
+@pytest.mark.parametrize("main_unlock", UNLOCK_ORDERS)
+@pytest.mark.parametrize("thread_unlock", UNLOCK_ORDERS)
+def test_dpor_reverses_races_behind_an_rmw_reservation(main_unlock,
+                                                       thread_unlock):
+    """Regression: a relaxed-CAS spin lock with per-thread unlock orders.
+
+    At the root both CAS execs are enabled.  DPOR used to race the
+    other thread's exec against main's rmw-store, which it can never
+    precede: main's reservation disables it from main's exec on.  The
+    reversal then landed after main's exec, so the thread-first order
+    was never explored, and a relaxed unlock in ``thread_fn`` passed as
+    ok.  Every backend must agree, and a relaxed unlock on either side
+    lets the critical sections overlap under wmm.
+    """
+    module = compile_source(
+        CAS_LOCK.format(main_unlock=main_unlock, thread_unlock=thread_unlock),
+        f"cas_lock_{main_unlock}_{thread_unlock}",
+    )
+    outcomes = {
+        (por, macro): _outcome(check_module(module, model="wmm", por=por,
+                                            macro=macro, **BOUNDS))
+        for por, macro in (("none", "off"), ("sleep", "on"),
+                           ("dpor", "on"), ("dpor", "off"))
+    }
+    expected = ("violation" if "relaxed" in (main_unlock, thread_unlock)
+                else "ok")
+    assert set(outcomes.values()) == {expected}, outcomes
+
+
 def test_dpor_counters_populated():
     source, _expected = LITMUS_TESTS["SB"]
     module = compile_source(source, "litmus_SB")

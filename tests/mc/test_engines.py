@@ -10,6 +10,14 @@ with both engines asserted equal case by case, so they pin the
 undo-log engine to what an independent substrate computed.  A change
 that alters any of them changes the traversal, not just its speed, and
 must update the file deliberately.
+
+Two DPOR entries were re-recorded that way: ``ck_spinlock_cas/wmm`` and
+``RMW-atomicity/wmm``.  DPOR used to race another thread's rmw against
+an rmw-store it can never precede, and so never explored the order
+with the other thread's rmw first (``RMW-atomicity/wmm/dpor`` had no
+backtrack point).  Reversing the race at the exec that took the
+reservation explores it; ``tests/mc/test_dpor.py`` pins the defect's
+reproducer.
 """
 
 import json

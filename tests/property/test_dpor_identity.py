@@ -12,7 +12,11 @@ pin that across axes the hand-written tests cannot enumerate:
    immediate (SC/TSO) and windowed (WMM) operations, the boundary the
    footprinted-visible-step dependence in :mod:`repro.mc.dpor` lives
    on.
-3. The in-place DPOR engine against a clone-snapshot reference: every
+3. A relaxed-CAS spin lock under random per-thread CAS and unlock
+   orders, against both the sleep backend and the unreduced explorer:
+   an rmw reservation disables the other thread's commits on the lock
+   word, the dependence DPOR once raced at the wrong event.
+4. The in-place DPOR engine against a clone-snapshot reference: every
    node's state is copied with ``State.clone()`` when it opens, and
    every journal revert back to the node must reproduce that copy,
    ``OP_CLK`` clock-table entries included.  Random walks over the
@@ -106,6 +110,53 @@ def test_weakened_random_orders_identity(variant, model):
     dpor = run_weakened_litmus(name, overrides, model, por="dpor",
                                **BOUNDS)
     assert _signature(sleep) == _signature(dpor), (name, model, overrides)
+
+
+CAS_ORDERS = ("memory_order_relaxed", "memory_order_acquire",
+              "memory_order_seq_cst")
+CAS_LOCK = """
+int lock_word = 0;
+int counter = 0;
+
+void worker() {{
+    while (atomic_cmpxchg_explicit(&lock_word, 0, 1, {cas_worker}) != 0) {{ }}
+    int c = counter;
+    counter = c + 1;
+    atomic_store_explicit(&lock_word, 0, {unlock_worker});
+}}
+
+int main() {{
+    int t = thread_create(worker);
+    while (atomic_cmpxchg_explicit(&lock_word, 0, 1, {cas_main}) != 0) {{ }}
+    int c = counter;
+    counter = c + 1;
+    atomic_store_explicit(&lock_word, 0, {unlock_main});
+    thread_join(t);
+    assert(counter == 2);
+    return 0;
+}}
+"""
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cas_main=st.sampled_from(CAS_ORDERS),
+    cas_worker=st.sampled_from(CAS_ORDERS),
+    unlock_main=st.sampled_from(STORE_ORDERS),
+    unlock_worker=st.sampled_from(STORE_ORDERS),
+    model=st.sampled_from(MODELS),
+)
+def test_cas_lock_random_orders_identity(cas_main, cas_worker, unlock_main,
+                                         unlock_worker, model):
+    source = CAS_LOCK.format(cas_main=cas_main, cas_worker=cas_worker,
+                             unlock_main=unlock_main,
+                             unlock_worker=unlock_worker)
+    module = compile_source(source, "cas_lock")
+    full = check_module(module, model=model, por="none", macro="off",
+                        **BOUNDS)
+    sleep = check_module(module, model=model, por="sleep", **BOUNDS)
+    dpor = check_module(module, model=model, por="dpor", **BOUNDS)
+    assert _signature(full) == _signature(sleep) == _signature(dpor)
 
 
 @contextmanager

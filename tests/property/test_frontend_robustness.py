@@ -5,7 +5,7 @@ constructions always round-trip; arbitrary text never crashes with
 anything other than the dedicated source-error types.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LexerError, ParseError, SemanticError
@@ -47,6 +47,8 @@ def test_integer_literals_lex_exactly(value):
 
 @given(st.text(max_size=60))
 @settings(max_examples=200, deadline=None)
+@example("int x = 0x;")  # hex prefixes without a hex digit
+@example("0x²")
 def test_arbitrary_text_never_crashes_the_frontend(text):
     """Only the dedicated SourceError family may escape."""
     try:
