@@ -14,7 +14,8 @@ default to sequential, which is bit-identical).
 import os
 
 from repro.bench.programs import classic_locks
-from repro.mc.parallel import CheckTask, run_tasks
+from repro.core.workers import run_batch
+from repro.mc.parallel import CheckTask
 
 
 CASES = {
@@ -47,7 +48,7 @@ def test_extended_verification(benchmark, record_table):
             for name, (builder, *_expected) in CASES.items()
             for model, level in _MATRIX
         ]
-        results = iter(run_tasks(tasks, jobs=jobs))
+        results = iter(run_batch(tasks, jobs=jobs))
         return [
             (name, next(results), next(results), next(results),
              tso_ok, wmm_ok, fixed_ok)

@@ -37,8 +37,9 @@ from repro.bench.corpus import BENCHMARKS
 from repro.bench.synth import PAPER_TABLE3, generate_codebase
 from repro.bench.tables import ALIAS_BENCHMARKS, TABLE2_BENCHMARKS, table3
 from repro.core.config import PortingLevel
-from repro.core.parallel import PortTask, run_port_tasks
+from repro.core.parallel import PortTask
 from repro.core.profile import STAGE_ORDER
+from repro.core.workers import run_batch
 from repro.ir.printer import print_module
 
 SCALE = 100
@@ -127,8 +128,8 @@ def identity_results():
             tasks.append(PortTask(
                 name=name, source=source, level=level, emit_ir=True,
             ))
-    serial_out = run_port_tasks(tasks, jobs=None)
-    parallel_out = run_port_tasks(tasks, jobs=JOBS)
+    serial_out = run_batch(tasks, jobs=None)
+    parallel_out = run_batch(tasks, jobs=JOBS)
     return {
         (task.name, task.level): {
             "inline": inline[(task.name, task.level)],

@@ -12,7 +12,11 @@ from repro.api import compile_source, port_module, run_module
 from repro.bench.corpus import BENCHMARKS, PHOENIX_PAPER_NUMBERS
 from repro.bench.synth import PAPER_TABLE3, generate_codebase
 from repro.core.config import PortingLevel
+from repro.core.parallel import PortTask
 from repro.core.report import count_barriers
+from repro.core.workers import run_batch
+from repro.mc.parallel import CheckTask
+from repro.opt.parallel import OptimizeTask
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +81,6 @@ def table2(max_steps=600, max_states=400_000, jobs=None,
     then read 0); the default keeps it off so the table reports true
     exploration sizes.
     """
-    from repro.mc.parallel import CheckTask, run_tasks
-
     robustness = False if robustness is None else robustness
     tasks = [
         CheckTask(
@@ -89,7 +91,7 @@ def table2(max_steps=600, max_states=400_000, jobs=None,
         for name in TABLE2_BENCHMARKS
         for _level_name, level in _TABLE2_LEVELS
     ]
-    results = iter(run_tasks(tasks, jobs=jobs))
+    results = iter(run_batch(tasks, jobs=jobs))
     rows = []
     for name in TABLE2_BENCHMARKS:
         row = {"benchmark": name}
@@ -125,8 +127,6 @@ def table_lint(benchmarks=LINT_BENCHMARKS, max_steps=4000,
     the expensive part — across worker processes.
     """
     from repro.core.config import AtoMigConfig
-    from repro.core.report import count_barriers
-    from repro.mc.parallel import CheckTask, run_tasks
 
     tasks = [
         CheckTask(
@@ -136,7 +136,7 @@ def table_lint(benchmarks=LINT_BENCHMARKS, max_steps=4000,
         )
         for name in benchmarks
     ]
-    results = run_tasks(tasks, jobs=jobs)
+    results = run_batch(tasks, jobs=jobs)
     rows = []
     for name, result in zip(benchmarks, results):
         benchmark = BENCHMARKS[name]
@@ -188,7 +188,6 @@ def table8(benchmarks=TABLE8_BENCHMARKS, max_steps=2500,
     across worker processes.
     """
     from repro.core.config import AtoMigConfig
-    from repro.mc.parallel import CheckTask, run_tasks
 
     modes = ("type_based", "points_to")
     tasks = [
@@ -201,7 +200,7 @@ def table8(benchmarks=TABLE8_BENCHMARKS, max_steps=2500,
         for name in benchmarks
         for mode in modes
     ]
-    results = iter(run_tasks(tasks, jobs=jobs))
+    results = iter(run_batch(tasks, jobs=jobs))
     rows = []
     for name in benchmarks:
         module = compile_source(BENCHMARKS[name].mc_source(), name)
@@ -314,8 +313,6 @@ def _merged_stats(*reports):
 
 def _table3_parallel(scale, seed, jobs, frontend_cache, profile):
     """Per-(application, level) port jobs on a process pool."""
-    from repro.core.parallel import PortTask, run_port_tasks
-
     apps = list(PAPER_TABLE3.items())
     tasks = [
         PortTask(
@@ -325,7 +322,7 @@ def _table3_parallel(scale, seed, jobs, frontend_cache, profile):
         for app_name, _profile in apps
         for level in ("atomig", "naive")
     ]
-    outcomes = iter(run_port_tasks(tasks, jobs=jobs))
+    outcomes = iter(run_batch(tasks, jobs=jobs))
     rows = []
     for app_name, app_profile in apps:
         atomig_out = next(outcomes)
@@ -396,60 +393,29 @@ def _mean_cycles(module, seeds=PERF_SEEDS):
     return total / len(seeds)
 
 
-def _baseline_module(benchmark, name):
-    """The paper's 'original': the expert WMM port when one exists,
-    otherwise the TSO sources compiled as-is (CLHT footnote '+')."""
-    if benchmark.expert_source is not None:
-        return compile_source(benchmark.expert_source(), f"{name}.expert")
-    return compile_source(benchmark.perf_source(), f"{name}.orig")
+def _mean(outcome):
+    """Mean modeled cycles of a port+run outcome over its seeds."""
+    return sum(outcome.cycles) / len(outcome.cycles)
 
 
 def table5(benchmarks=TABLE5_BENCHMARKS, seeds=PERF_SEEDS, jobs=None,
            profile=False):
     """Measured Naive and AtoMig slowdowns vs the original binaries.
 
-    ``jobs`` fans the per-(benchmark, variant) port+run jobs across
-    worker processes; the VM is deterministic per seed, so the ratios
-    are identical to the serial path's.
+    The baseline is the paper's 'original': the expert WMM port when
+    one exists, otherwise the TSO sources compiled as-is (CLHT
+    footnote '+').  ``jobs`` fans the per-(benchmark, variant)
+    port+run jobs across worker processes; the VM is deterministic per
+    seed, so the ratios do not depend on it.
     """
-    if jobs is not None and jobs > 1:
-        return _table5_parallel(benchmarks, seeds, jobs, profile)
-    rows = []
-    for name in benchmarks:
-        benchmark = BENCHMARKS[name]
-        tso_module = compile_source(benchmark.perf_source(), name)
-        baseline = _baseline_module(benchmark, name)
-        base_cycles = _mean_cycles(baseline, seeds)
-
-        naive, naive_report = port_module(tso_module, PortingLevel.NAIVE)
-        atomig, atomig_report = port_module(tso_module, PortingLevel.ATOMIG)
-        naive_cycles = _mean_cycles(naive, seeds)
-        atomig_cycles = _mean_cycles(atomig, seeds)
-
-        row = {
-            "benchmark": name,
-            "naive": naive_cycles / base_cycles,
-            "atomig": atomig_cycles / base_cycles,
-            "paper_naive": benchmark.paper_naive,
-            "paper_atomig": benchmark.paper_atomig,
-        }
-        if profile:
-            row["_stats"] = _merged_stats(naive_report, atomig_report)
-        rows.append(row)
-    return rows
-
-
-def _table5_parallel(benchmarks, seeds, jobs, profile):
-    """Per-(benchmark, variant) port+run jobs on a process pool."""
-    from repro.core.parallel import PortTask, run_port_tasks
-
     seeds = tuple(seeds)
     tasks = []
     for name in benchmarks:
         benchmark = BENCHMARKS[name]
         perf_source = benchmark.perf_source()
         if benchmark.expert_source is not None:
-            base_source, base_name = benchmark.expert_source(), f"{name}.expert"
+            base_source = benchmark.expert_source()
+            base_name = f"{name}.expert"
         else:
             base_source, base_name = perf_source, f"{name}.orig"
         tasks.append(PortTask(
@@ -459,18 +425,18 @@ def _table5_parallel(benchmarks, seeds, jobs, profile):
             tasks.append(PortTask(
                 name=name, source=perf_source, level=level, run_seeds=seeds,
             ))
-    outcomes = iter(run_port_tasks(tasks, jobs=jobs))
+    outcomes = iter(run_batch(tasks, jobs=jobs))
     rows = []
     for name in benchmarks:
         benchmark = BENCHMARKS[name]
         base_out, naive_out, atomig_out = (
             next(outcomes), next(outcomes), next(outcomes)
         )
-        base_cycles = sum(base_out.cycles) / len(base_out.cycles)
+        base_cycles = _mean(base_out)
         row = {
             "benchmark": name,
-            "naive": (sum(naive_out.cycles) / len(seeds)) / base_cycles,
-            "atomig": (sum(atomig_out.cycles) / len(seeds)) / base_cycles,
+            "naive": _mean(naive_out) / base_cycles,
+            "atomig": _mean(atomig_out) / base_cycles,
             "paper_naive": benchmark.paper_naive,
             "paper_atomig": benchmark.paper_atomig,
         }
@@ -492,69 +458,42 @@ def table6(jobs=None, profile=False):
 
     ``jobs`` fans the per-(kernel, variant) port+run jobs across
     worker processes; the VM is deterministic per seed, so the ratios
-    are identical to the serial path's.
+    do not depend on it.
     """
     levels = ("naive", "lasagne", "atomig")
+    tasks = []
+    for kernel in PHOENIX_PAPER_NUMBERS:
+        source = BENCHMARKS[f"phoenix_{kernel}"].perf_source()
+        tasks.append(PortTask(
+            name=kernel, source=source, run_seeds=PERF_SEEDS,
+        ))
+        tasks += [
+            PortTask(
+                name=kernel, source=source, level=level,
+                run_seeds=PERF_SEEDS,
+            )
+            for level in levels
+        ]
+    outcomes = iter(run_batch(tasks, jobs=jobs))
     rows = []
     ratios = {level: [] for level in levels}
-
-    if jobs is not None and jobs > 1:
-        from repro.core.parallel import PortTask, run_port_tasks
-
-        tasks = []
-        for kernel in PHOENIX_PAPER_NUMBERS:
-            source = BENCHMARKS[f"phoenix_{kernel}"].perf_source()
-            tasks.append(PortTask(
-                name=kernel, source=source, run_seeds=PERF_SEEDS,
-            ))
-            tasks += [
-                PortTask(
-                    name=kernel, source=source, level=level,
-                    run_seeds=PERF_SEEDS,
-                )
-                for level in levels
-            ]
-        outcomes = iter(run_port_tasks(tasks, jobs=jobs))
-        for kernel, paper in PHOENIX_PAPER_NUMBERS.items():
-            base_out = next(outcomes)
-            base_cycles = sum(base_out.cycles) / len(base_out.cycles)
-            row = {"benchmark": kernel,
-                   "paper_naive": paper[0],
-                   "paper_lasagne": paper[1],
-                   "paper_atomig": paper[2]}
-            reports = []
-            for level in levels:
-                out = next(outcomes)
-                reports.append(out.report)
-                ratio = (sum(out.cycles) / len(out.cycles)) / base_cycles
-                row[level] = ratio
-                ratios[level].append(ratio)
-            if profile:
-                row["_stats"] = _merged_stats(*reports)
-            rows.append(row)
-    else:
-        for kernel, paper in PHOENIX_PAPER_NUMBERS.items():
-            benchmark = BENCHMARKS[f"phoenix_{kernel}"]
-            module = compile_source(benchmark.perf_source(), kernel)
-            base_cycles = _mean_cycles(module)
-            row = {"benchmark": kernel,
-                   "paper_naive": paper[0],
-                   "paper_lasagne": paper[1],
-                   "paper_atomig": paper[2]}
-            reports = []
-            for level_name, level in (
-                ("naive", PortingLevel.NAIVE),
-                ("lasagne", PortingLevel.LASAGNE),
-                ("atomig", PortingLevel.ATOMIG),
-            ):
-                ported, report = port_module(module, level)
-                reports.append(report)
-                ratio = _mean_cycles(ported) / base_cycles
-                row[level_name] = ratio
-                ratios[level_name].append(ratio)
-            if profile:
-                row["_stats"] = _merged_stats(*reports)
-            rows.append(row)
+    for kernel, paper in PHOENIX_PAPER_NUMBERS.items():
+        base_out = next(outcomes)
+        base_cycles = _mean(base_out)
+        row = {"benchmark": kernel,
+               "paper_naive": paper[0],
+               "paper_lasagne": paper[1],
+               "paper_atomig": paper[2]}
+        reports = []
+        for level in levels:
+            out = next(outcomes)
+            reports.append(out.report)
+            ratio = _mean(out) / base_cycles
+            row[level] = ratio
+            ratios[level].append(ratio)
+        if profile:
+            row["_stats"] = _merged_stats(*reports)
+        rows.append(row)
 
     geomean_row = {"benchmark": "geometric mean",
                    "paper_naive": 1.39, "paper_lasagne": 1.73,
@@ -591,8 +530,6 @@ def table9(benchmarks=TABLE9_BENCHMARKS, max_steps=2500,
     query to explore); either way the cost columns are identical —
     the fast path only answers queries it can prove.
     """
-    from repro.opt.parallel import OptimizeTask, run_optimize_tasks
-
     robustness = True if robustness is None else robustness
     tasks = [
         OptimizeTask(
@@ -602,7 +539,7 @@ def table9(benchmarks=TABLE9_BENCHMARKS, max_steps=2500,
         )
         for name in benchmarks
     ]
-    reports = run_optimize_tasks(tasks, jobs=jobs)
+    reports = run_batch(tasks, jobs=jobs)
     rows = []
     for name, report in zip(benchmarks, reports):
         before = report["barrier_cost_before"]
@@ -659,7 +596,6 @@ def table10(benchmarks=TABLE10_BENCHMARKS, arches=TABLE10_ARCHES,
     milliseconds).
     """
     from repro.analysis.repair import resynthesize_ported
-    from repro.opt.parallel import OptimizeTask, run_optimize_tasks
 
     tasks = [
         OptimizeTask(
@@ -669,7 +605,7 @@ def table10(benchmarks=TABLE10_BENCHMARKS, arches=TABLE10_ARCHES,
         )
         for name in benchmarks for arch in arches
     ]
-    reports = run_optimize_tasks(tasks, jobs=jobs)
+    reports = run_batch(tasks, jobs=jobs)
     rows = []
     for position, name in enumerate(benchmarks):
         ported, _report = port_module(

@@ -35,7 +35,6 @@ import json
 import sys
 
 from repro.api import (
-    check_module,
     compile_source,
     lint_module,
     port_module,
@@ -243,38 +242,27 @@ def cmd_optimize(args):
 
 
 def _check_results(args):
-    """Run one check per requested model, possibly on a process pool."""
+    """One check per requested model, on ``--jobs`` worker processes."""
+    from repro.core.workers import run_batch
+    from repro.mc.parallel import CheckTask
+
     # --repair needs the porting pipeline even at level original (the
     # repair stage lives there).
     needs_port = args.level != "original" or args.repair
-    if args.jobs and args.jobs > 1:
-        from repro.mc.parallel import CheckTask, run_tasks
-
-        with open(args.file) as handle:
-            source = handle.read()
-        tasks = [
-            CheckTask(
-                name=args.file, source=source, model=model,
-                level=args.level if needs_port else None,
-                max_steps=args.max_steps, por=args.por, macro=args.macro,
-                config=_build_config(args), is_ir=args.file.endswith(".ir"),
-                robustness=args.robustness,
-            )
-            for model in args.models
-        ]
-        return zip(args.models, run_tasks(tasks, jobs=args.jobs))
-    module = _load(args.file)
-    if needs_port:
-        module, _report = port_module(
-            module, _LEVELS[args.level], config=_build_config(args)
+    with open(args.file) as handle:
+        source = handle.read()
+    config = _build_config(args)
+    tasks = [
+        CheckTask(
+            name=args.file, source=source, model=model,
+            level=args.level if needs_port else None,
+            max_steps=args.max_steps, por=args.por, macro=args.macro,
+            config=config, is_ir=args.file.endswith(".ir"),
+            robustness=args.robustness,
         )
-    return (
-        (model, check_module(
-            module, model=model, max_steps=args.max_steps, por=args.por,
-            macro=args.macro, robustness=args.robustness,
-        ))
         for model in args.models
-    )
+    ]
+    return zip(args.models, run_batch(tasks, jobs=args.jobs))
 
 
 def cmd_check(args):
@@ -284,9 +272,7 @@ def cmd_check(args):
         if result.violation is not None or result.deadlock:
             failures += 1
         if args.json:
-            from repro.serve.queue import check_to_dict
-
-            rows.append(check_to_dict(result))
+            rows.append(result.to_dict())
             continue
         if result.violation is not None:
             status = f"VIOLATION: {result.violation}"
@@ -295,7 +281,7 @@ def cmd_check(args):
         else:
             status = "ok"
         extra = " (truncated)" if result.truncated else ""
-        if getattr(result, "verdict_source", "exploration") == "robustness":
+        if result.verdict_source == "robustness":
             extra += ", statically robust"
         print(f"{model:>3}: {status}  "
               f"[{result.states_explored} states{extra}]")

@@ -1,17 +1,18 @@
-"""Parallel porting harness: fan independent port jobs across cores.
+"""Porting task spec: one picklable (module, level) port job.
 
 The Table 3/5/6 harnesses and ``atomig tables --jobs`` are batches of
 *independent* (module, level) ports — different applications, different
 porting levels, disjoint cloned modules — so they parallelize
 embarrassingly, exactly like the model-checking batches of
 :mod:`repro.mc.parallel`.  A :class:`PortTask` is a picklable
-description of one job; :func:`run_port_tasks` executes a batch either
+description of one job that runs itself;
+:func:`repro.core.workers.run_batch` executes a list of them either
 sequentially (``jobs`` unset or 1, the deterministic default) or on a
-``multiprocessing`` pool.
+persistent ``multiprocessing`` pool.
 
 Tasks carry source text (or a synthetic-codebase spec) rather than IR
 modules, so the same task list works under both the ``fork`` and
-``spawn`` start methods; each worker compiles — or pulls from the
+``spawn`` start methods; each task compiles — or pulls from the
 frontend cache (:mod:`repro.modcache`) — inside its own process and
 times its own build and port, keeping per-row build/port ratios honest
 under parallelism.  Outcomes return :class:`PortingReport` objects
@@ -49,6 +50,51 @@ class PortTask:
     #: Frontend-cache override (None = honor ATOMIG_FRONTEND_CACHE).
     frontend_cache: bool = None
 
+    def run(self):
+        """Compile, port and optionally run; returns a :class:`PortOutcome`."""
+        import time
+
+        from repro.api import compile_source, port_module, run_module
+        from repro.core.config import PortingLevel
+        from repro.core.report import count_barriers
+
+        source = self.source
+        if source is None:
+            from repro.bench.synth import generate_codebase
+
+            app_name, scale, seed = self.synth
+            source = generate_codebase(app_name, scale=scale, seed=seed)
+
+        started = time.perf_counter()
+        module = compile_source(source, self.name, cache=self.frontend_cache)
+        build_seconds = time.perf_counter() - started
+
+        ported = module
+        report = None
+        port_seconds = 0.0
+        if self.level is not None:
+            started = time.perf_counter()
+            ported, report = port_module(
+                module, PortingLevel(self.level), config=self.config
+            )
+            port_seconds = time.perf_counter() - started
+
+        outcome = PortOutcome(
+            name=self.name, level=self.level, report=report,
+            barriers=count_barriers(ported),
+            build_seconds=build_seconds, port_seconds=port_seconds,
+        )
+        if self.run_seeds:
+            outcome.cycles = tuple(
+                run_module(ported, schedule_seed=seed).cycles
+                for seed in self.run_seeds
+            )
+        if self.emit_ir:
+            from repro.ir.printer import print_module
+
+            outcome.ir_text = print_module(ported)
+        return outcome
+
 
 @dataclass
 class PortOutcome:
@@ -69,77 +115,3 @@ class PortOutcome:
     cycles: tuple = ()
     #: Printed IR of the final module (``emit_ir`` tasks only).
     ir_text: str = None
-
-
-def run_port_task(task):
-    """Compile, port, and optionally run one task.
-
-    Top-level (not a closure) so it pickles under every multiprocessing
-    start method.
-    """
-    import time
-
-    from repro.api import compile_source, port_module, run_module
-    from repro.core.config import PortingLevel
-    from repro.core.report import count_barriers
-
-    source = task.source
-    if source is None:
-        from repro.bench.synth import generate_codebase
-
-        app_name, scale, seed = task.synth
-        source = generate_codebase(app_name, scale=scale, seed=seed)
-
-    started = time.perf_counter()
-    module = compile_source(source, task.name, cache=task.frontend_cache)
-    build_seconds = time.perf_counter() - started
-
-    ported = module
-    report = None
-    port_seconds = 0.0
-    if task.level is not None:
-        started = time.perf_counter()
-        ported, report = port_module(
-            module, PortingLevel(task.level), config=task.config
-        )
-        port_seconds = time.perf_counter() - started
-
-    outcome = PortOutcome(
-        name=task.name, level=task.level, report=report,
-        barriers=count_barriers(ported),
-        build_seconds=build_seconds, port_seconds=port_seconds,
-    )
-    if task.run_seeds:
-        outcome.cycles = tuple(
-            run_module(ported, schedule_seed=seed).cycles
-            for seed in task.run_seeds
-        )
-    if task.emit_ir:
-        from repro.ir.printer import print_module
-
-        outcome.ir_text = print_module(ported)
-    return outcome
-
-
-def run_port_tasks(tasks, jobs=None):
-    """Run a batch of port tasks; results align with the input order.
-
-    ``jobs=None`` or ``jobs<=1`` runs sequentially in-process.  Larger
-    values use the persistent pool for that worker count
-    (:func:`repro.core.workers.get_pool`): forked once per process
-    lifetime and reused across batches, so a sweep that ports every
-    application at every level pays pool setup exactly once, and
-    per-worker busy time lands in the pool's ``worker_stats`` (surfaced
-    by the BENCH_port harness).
-
-    ``chunksize=1``: tasks are few and lumpy (a mariadb-sized port must
-    not strand a prefetched batch of small ones behind it).
-    """
-    tasks = list(tasks)
-    if jobs is None or jobs <= 1 or len(tasks) <= 1:
-        return [run_port_task(task) for task in tasks]
-
-    from repro.core.workers import get_pool
-
-    pool = get_pool(jobs)
-    return pool.map(run_port_task, tasks, chunksize=1)

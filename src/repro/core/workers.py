@@ -1,32 +1,29 @@
-"""Persistent worker pools with seeded module caches (DESIGN.md §6f).
+"""The one batch runner and its persistent worker pools (DESIGN.md §6f).
 
-The batch harnesses (:mod:`repro.mc.parallel`, :mod:`repro.core.parallel`,
-the optimizer's bisection probes) used to build a fresh
-``multiprocessing.Pool`` per call: the Oracle's half-probing pays pool
-setup for every bisection round, and every worker recompiles sources it
-has already seen.  This module replaces that with three mechanisms:
+Every batch in the repo — the table harnesses, ``atomig check
+--jobs``, the optimizer's bisection probes and multi-module serve
+jobs — is a list of task specs (:class:`repro.mc.parallel.CheckTask`,
+:class:`repro.core.parallel.PortTask`,
+:class:`repro.opt.parallel.OptimizeTask`,
+:class:`repro.opt.parallel.RepairTask`).  Each spec is picklable and
+carries its own ``run()``; :func:`run_batch` runs a list of them
+in-process or on a pool.  Three mechanisms keep the pools cheap:
 
 - **Persistent pools.**  :func:`get_pool` keeps one pool per worker
   count alive for the whole process (closed via ``atexit``), so a
   bisection loop that probes dozens of batches forks exactly once.
 - **Worker-side module caches.**  :func:`cached_module` memoizes
   compiled/parsed modules by source digest inside each worker (and in
-  the serial in-process path).  Pools can additionally be *seeded*:
-  the initializer pre-compiles a list of sources once per worker, so a
-  sweep that checks the same program under ``sc``/``tso``/``wmm``
-  compiles it once, not once per (model, task).  Cache hits hand out
-  ``Module.clone()`` copies — the porting pipeline may mutate its
+  the in-process path), so a sweep that checks the same program under
+  ``sc``/``tso``/``wmm`` compiles it once per worker.  Cache hits hand
+  out ``Module.clone()`` copies — the porting pipeline may mutate its
   input, so the cached master is never exposed.
-- **Interned location keys + per-worker timing.**  Seeding interns the
+- **Interned location keys + per-worker timing.**  Caching interns the
   module's global/function name strings (the location keys every
   report row repeats), and every task runs through a timing wrapper;
   :attr:`WorkerPool.worker_stats` maps worker pid to cumulative busy
   seconds and task count, making pool skew visible to the perf
   harnesses (``BENCH_port.json``).
-
-The serial path (``jobs`` unset or 1) never touches multiprocessing:
-callers fall back to a plain in-process loop that still benefits from
-:func:`cached_module`.
 """
 
 import atexit
@@ -38,12 +35,9 @@ from functools import partial
 
 # -- worker-side state (one copy per worker process) ------------------------
 
-#: Sources the pool initializer compiled: digest -> master module.
-#: Never evicted — seeds are few and chosen by the caller.
-_SEEDED = {}
-#: Opportunistic memo for sources first seen inside a task.  Bounded:
-#: a long bisection streams thousands of one-shot variants through a
-#: worker, and caching them all would only grow memory.
+#: Compiled modules by source digest.  Bounded: a long bisection
+#: streams thousands of one-shot variants through a worker, and caching
+#: them all would only grow memory.
 _MEMO = {}
 _MEMO_LIMIT = 128
 
@@ -77,26 +71,14 @@ def _intern_location_keys(module):
         sys.intern(name)
 
 
-def seed_worker(seeds):
-    """Pool initializer: pre-compile ``(name, source, is_ir)`` triples."""
-    for name, source, is_ir in seeds:
-        key = _source_key(source, is_ir)
-        if key not in _SEEDED:
-            module = _compile(source, name, is_ir)
-            _intern_location_keys(module)
-            _SEEDED[key] = module
-
-
 def cached_module(source, name, is_ir=False):
     """A private module for ``source``: cloned from this worker's cache.
 
-    Misses compile (or parse) and memoize; hits — seeded or memoized —
-    return ``Module.clone()`` so callers may mutate freely.
+    Misses compile (or parse) and memoize; hits return
+    ``Module.clone()`` so callers may mutate freely.
     """
     key = _source_key(source, is_ir)
-    master = _SEEDED.get(key)
-    if master is None:
-        master = _MEMO.get(key)
+    master = _MEMO.get(key)
     if master is None:
         master = _compile(source, name, is_ir)
         _intern_location_keys(master)
@@ -119,7 +101,7 @@ def timed_call(worker, task):
 class WorkerPool:
     """A persistent process pool with per-worker accounting."""
 
-    def __init__(self, jobs, seeds=()):
+    def __init__(self, jobs):
         import multiprocessing
 
         try:
@@ -127,28 +109,21 @@ class WorkerPool:
         except ValueError:  # platforms without fork (e.g. Windows)
             context = multiprocessing.get_context("spawn")
         self.jobs = jobs
-        self._pool = context.Pool(
-            processes=jobs, initializer=seed_worker,
-            initargs=(tuple(seeds),),
-        )
+        self._pool = context.Pool(processes=jobs)
         #: pid -> {"tasks": int, "busy_seconds": float}
         self.worker_stats = {}
         self.batches = 0
 
-    def map(self, worker, tasks, chunksize=None):
+    def map(self, worker, tasks, chunksize=1):
         """Run ``tasks`` through ``worker``; results keep input order.
 
-        ``chunksize=None`` shards the batch into ~4 chunks per worker —
-        large enough to amortize IPC, small enough that one slow shard
-        cannot strand a quarter of the batch.  Lumpy batches (a
-        mariadb-sized port among litmus rows) should pass
-        ``chunksize=1`` explicitly.
+        ``chunksize=1``: batches are few and lumpy (a mariadb-sized
+        port or a slow corpus check must not strand a prefetched batch
+        of small tasks behind it).
         """
         tasks = list(tasks)
         if not tasks:
             return []
-        if chunksize is None:
-            chunksize = max(1, len(tasks) // (self.jobs * 4))
         rows = self._pool.map(
             partial(timed_call, worker), tasks, chunksize=chunksize
         )
@@ -177,17 +152,35 @@ class WorkerPool:
 _POOLS = {}
 
 
-def get_pool(jobs, seeds=()):
-    """The process-wide pool for ``jobs`` workers, created on first use.
-
-    ``seeds`` only takes effect when this call creates the pool; later
-    callers share the existing workers (their own sources still get
-    memoized on first use via :func:`cached_module`).
-    """
+def get_pool(jobs):
+    """The process-wide pool for ``jobs`` workers, created on first use."""
     pool = _POOLS.get(jobs)
     if pool is None:
-        pool = _POOLS[jobs] = WorkerPool(jobs, seeds=seeds)
+        pool = _POOLS[jobs] = WorkerPool(jobs)
     return pool
+
+
+# -- the batch runner -------------------------------------------------------
+
+
+def run_task(task):
+    """Run one task spec (the picklable top-level pool worker)."""
+    return task.run()
+
+
+def run_batch(tasks, jobs=None):
+    """Run a list of task specs; results align with the input order.
+
+    ``jobs=None`` or ``jobs<=1`` (or a single task) runs them
+    in-process, the deterministic default.  Larger values use the
+    persistent pool for that worker count; callers keep ``jobs``
+    constant so every batch reuses the same workers and their module
+    caches.
+    """
+    tasks = list(tasks)
+    if jobs is None or jobs <= 1 or len(tasks) <= 1:
+        return [task.run() for task in tasks]
+    return get_pool(jobs).map(run_task, tasks, chunksize=1)
 
 
 def pool_stats():

@@ -216,6 +216,23 @@ class CheckResult:
             return "truncated"
         return "ok"
 
+    def to_dict(self):
+        """JSON-ready view (``atomig check --json``, serve check rows)."""
+        payload = {
+            "model": self.model,
+            "ok": self.ok,
+            "outcome": self.outcome,
+            "violation": self.violation,
+            "deadlock": self.deadlock,
+            "truncated": self.truncated,
+            "states_explored": self.states_explored,
+            "verdict_source": self.verdict_source,
+            "notes": list(self.notes),
+        }
+        if self.stats is not None:
+            payload["stats"] = self.stats.to_json()
+        return payload
+
     def __repr__(self):
         status = "ok" if self.ok else f"VIOLATION: {self.violation}"
         extra = ""

@@ -11,8 +11,9 @@ Entry points:
 
 - :func:`optimize_module` — optimize one IR module, returning the
   optimized clone and an :class:`OptimizationReport`.
-- :func:`repro.opt.parallel.run_optimize_tasks` — batch harness for
-  Table 9 (optimize the whole Table 2 corpus across cores).
+- :class:`repro.opt.parallel.OptimizeTask` — the picklable per-module
+  job behind Table 9, batched across cores by
+  :func:`repro.core.workers.run_batch`.
 """
 
 from repro.opt.candidates import Candidate, enumerate_candidates

@@ -1,19 +1,19 @@
-"""Batch harness: optimize many modules across cores (Table 9).
+"""Optimize and repair task specs (Tables 9 and 10, serve jobs).
 
 Mirrors :mod:`repro.mc.parallel`: an :class:`OptimizeTask` is a
-picklable description of one port-then-optimize job, and
-:func:`run_optimize_tasks` fans a batch over the same pool plumbing via
-``run_tasks(..., worker=run_optimize_task)``.  Each worker runs its own
-greedy loop sequentially — the parallelism that matters for Table 9 is
-across corpus rows, not within one module's bisection.
+picklable description of one port-then-optimize job and a
+:class:`RepairTask` one port-then-repair job; both run themselves and
+fan out through :func:`repro.core.workers.run_batch`.  Each optimize
+task runs its own greedy loop sequentially — the parallelism that
+matters for Table 9 is across corpus rows, not within one module's
+bisection.
 
-Results are plain dicts (``OptimizationReport.to_dict()``) so they
-pickle under every multiprocessing start method.
+Results are plain dicts (``OptimizationReport.to_dict()`` /
+``RepairReport.to_dict()``) so they pickle under every
+multiprocessing start method.
 """
 
 from dataclasses import dataclass
-
-from repro.mc.parallel import run_tasks
 
 
 @dataclass(frozen=True)
@@ -46,35 +46,66 @@ class OptimizeTask:
     #: never the oracle's verdicts.
     arch: str = None
 
+    def run(self):
+        """Compile, port and optimize; returns the report dict."""
+        from repro.api import port_module
+        from repro.core.config import PortingLevel
+        from repro.core.workers import cached_module
+        from repro.opt.weaken import optimize_module
+        from repro.vm.costs import cost_model_for
 
-def run_optimize_task(task):
-    """Compile, port and optimize one task; returns a report dict.
-
-    Top-level (not a closure) so it pickles under every multiprocessing
-    start method.
-    """
-    from repro.api import port_module
-    from repro.core.config import PortingLevel
-    from repro.core.workers import cached_module
-    from repro.opt.weaken import optimize_module
-    from repro.vm.costs import cost_model_for
-
-    module = cached_module(task.source, task.name, is_ir=task.is_ir)
-    if task.level is not None:
-        module, _report = port_module(
-            module, PortingLevel(task.level), config=task.config
+        module = cached_module(self.source, self.name, is_ir=self.is_ir)
+        if self.level is not None:
+            module, _report = port_module(
+                module, PortingLevel(self.level), config=self.config
+            )
+        cost_model = cost_model_for(self.arch) if self.arch else None
+        _optimized, report = optimize_module(
+            module, model=self.model, entry=self.entry,
+            max_steps=self.max_steps, max_states=self.max_states,
+            cost_model=cost_model,
+            require_marks=self.require_marks, clone=False,
+            robustness=self.robustness, repair_seed=self.repair_seed,
         )
-    cost_model = cost_model_for(task.arch) if task.arch else None
-    _optimized, report = optimize_module(
-        module, model=task.model, entry=task.entry,
-        max_steps=task.max_steps, max_states=task.max_states,
-        cost_model=cost_model,
-        require_marks=task.require_marks, clone=False,
-        robustness=task.robustness, repair_seed=task.repair_seed,
-    )
-    return report.to_dict()
+        return report.to_dict()
 
 
-def run_optimize_tasks(tasks, jobs=None):
-    """Run a batch of optimize tasks; results align with input order."""
-    return run_tasks(tasks, jobs=jobs, worker=run_optimize_task)
+@dataclass(frozen=True)
+class RepairTask:
+    """One static fence-repair job, self-contained and picklable."""
+
+    #: Module name (carried into the report).
+    name: str
+    #: Mini-C source text (or IR text when ``is_ir``).
+    source: str
+    model: str = "wmm"
+    #: PortingLevel value to port to before repairing, or None to
+    #: repair the compiled module as-is.
+    level: str = "atomig"
+    #: Optional AtoMigConfig for the porting pipeline.
+    config: object = None
+    is_ir: bool = False
+    #: Architecture cost-model name ("armv8" / "power"); None is armv8.
+    arch: str = None
+    #: Model-check the repaired module and record the evidence.
+    verify: bool = False
+    max_steps: int = 2500
+    max_states: int = 400_000
+
+    def run(self):
+        """Compile, port and repair; returns the report dict."""
+        from repro.api import port_module, repair_module
+        from repro.core.config import PortingLevel
+        from repro.core.workers import cached_module
+
+        module = cached_module(self.source, self.name, is_ir=self.is_ir)
+        if self.level is not None:
+            module, _report = port_module(
+                module, PortingLevel(self.level), config=self.config
+            )
+        _repaired, report = repair_module(
+            module, model=self.model, arch=self.arch, verify=self.verify,
+            max_steps=self.max_steps, max_states=self.max_states,
+            clone=False,
+        )
+        return report.to_dict()

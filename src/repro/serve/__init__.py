@@ -7,11 +7,11 @@ persistent service:
 - :mod:`repro.serve.store` — a durable on-disk job store (one JSON
   record per job under ``ATOMIG_JOB_DIR``, atomic writes) whose
   ``queued``/``running`` jobs survive a daemon restart;
-- :mod:`repro.serve.queue` — a priority job queue whose workers fan
-  out through the existing :mod:`repro.core.parallel` /
-  :mod:`repro.opt.parallel` harnesses and the persistent pools of
-  :mod:`repro.core.workers`, with content-addressed dedup on the
-  blake2b modcache key plus the task's config fingerprint;
+- :mod:`repro.serve.queue` — a priority job queue whose workers run
+  each job as the task specs the batch harnesses use, fanned out by
+  :func:`repro.core.workers.run_batch` over its persistent pools, with
+  content-addressed dedup on the blake2b modcache key plus the task's
+  config fingerprint;
 - :mod:`repro.serve.http` — a stdlib-only REST-ish HTTP API
   (``POST /jobs``, ``GET /jobs/<id>``, ``GET /jobs/<id>/result``,
   streaming ``GET /jobs/<id>/events``, ``DELETE /jobs/<id>``,

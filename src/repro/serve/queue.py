@@ -1,15 +1,15 @@
 """Priority job queue + daemon: execute stored jobs on worker threads.
 
 A job is a ``(kind, payload)`` pair persisted by
-:class:`repro.serve.store.JobStore`.  Kinds map onto the existing batch
-harnesses — ``port`` through :mod:`repro.core.parallel`, ``check``
-through :mod:`repro.mc.parallel`, ``optimize`` through
-:mod:`repro.opt.parallel`, ``repair`` through
-:func:`repro.analysis.repair.repair_module` — so one daemon process
-serves every report type the one-shot CLI can produce.  Multi-module
-("tree") jobs fan out across the persistent process pools of
-:mod:`repro.core.workers` when the daemon is configured with
-``fanout > 1``.
+:class:`repro.serve.store.JobStore`.  :func:`job_tasks` maps each kind
+onto the task specs the batch harnesses use — ``port`` onto
+:class:`repro.core.parallel.PortTask`, ``check`` onto
+:class:`repro.mc.parallel.CheckTask`, ``optimize`` and ``repair`` onto
+:mod:`repro.opt.parallel`'s ``OptimizeTask`` / ``RepairTask`` — so one
+daemon process serves every report type the one-shot CLI can produce.
+Multi-task ("tree") jobs of every kind fan out through
+:func:`repro.core.workers.run_batch` when the daemon is configured
+with ``fanout > 1``.
 
 Dedup is content-addressed: :func:`job_dedup_key` hashes the blake2b
 modcache digest of every module's source together with a canonical
@@ -18,8 +18,9 @@ model, options, config).  Re-submitting an unchanged source+config is
 answered instantly from the stored result of the earlier job — zero
 porting seconds, ``cache_hit: true`` — never a re-port.
 
-Progress streams off the pipeline's stage boundaries: serial jobs run
-under :func:`repro.core.profile.stage_observer`, so every
+Progress streams off the pipeline's stage boundaries: specs that run
+in the worker thread run under
+:func:`repro.core.profile.stage_observer`, so every
 ``stage_start``/``stage_end`` of :func:`repro.core.pipeline.run_porting`
 becomes an NDJSON event on ``GET /jobs/<id>/events``.
 """
@@ -110,33 +111,118 @@ def _modules(payload):
     ]
 
 
-def check_to_dict(result):
-    """JSON-ready view of a :class:`repro.mc.explorer.CheckResult`."""
-    payload = {
-        "model": result.model,
-        "ok": result.ok,
-        "outcome": result.outcome,
-        "violation": result.violation,
-        "deadlock": result.deadlock,
-        "truncated": result.truncated,
-        "states_explored": result.states_explored,
-        "verdict_source": getattr(result, "verdict_source", "exploration"),
-        "notes": list(result.notes),
-    }
-    if result.stats is not None:
-        payload["stats"] = result.stats.to_json()
-    return payload
+def _known(field, value, legal):
+    if not isinstance(value, str) or value not in legal:
+        raise ValueError(
+            f"unknown {field} {value!r} (expected one of "
+            f"{', '.join(legal)})"
+        )
+    return value
+
+
+def _models(payload, kind):
+    """A check job's ``models`` list, else the one ``model`` (wmm)."""
+    from repro.mc.models import MEMORY_MODELS
+
+    if kind == "check" and payload.get("models"):
+        if not isinstance(payload["models"], list):
+            raise ValueError("models must be a list of model names")
+        return [_known("models entry", model, MEMORY_MODELS)
+                for model in payload["models"]]
+    return [_known("model", payload.get("model", "wmm"), MEMORY_MODELS)]
 
 
 def _pick(options, allowed):
     unknown = sorted(set(options) - set(allowed))
     if unknown:
         raise ValueError(f"unknown options: {', '.join(unknown)}")
-    return {key: options[key] for key in options}
+    return dict(options)
 
 
-def _emit_noop(type_, **fields):
-    pass
+def job_tasks(kind, payload):
+    """The task specs one job runs; ``ValueError`` on a bad payload.
+
+    Each kind maps onto one spec class: ``port`` onto ``PortTask``,
+    ``check`` onto ``CheckTask`` (one per module and model),
+    ``optimize`` and ``repair`` onto ``OptimizeTask`` / ``RepairTask``.
+    The daemon calls this at submit, so a malformed payload is an HTTP
+    400, never a ``failed`` job; option *values* (``por``, ``arch``...)
+    are still checked when the job runs.
+    """
+    from repro.core.config import PortingLevel
+
+    _known("job kind", kind, JOB_KINDS)
+    modules = _modules(payload)
+    config = _build_config(payload)
+    level = _known("level", payload.get("level") or "atomig",
+                   [member.value for member in PortingLevel])
+    options = payload.get("options") or {}
+    if kind == "port":
+        from repro.core.parallel import PortTask
+
+        options = _pick(options, ("emit_ir",))
+        if any(is_ir for _name, _source, is_ir in modules):
+            raise ValueError("port jobs take Mini-C sources, not IR text")
+        return [
+            PortTask(name=name, source=source, level=level, config=config,
+                     emit_ir=bool(options.get("emit_ir")))
+            for name, source, _is_ir in modules
+        ]
+    models = _models(payload, kind)
+    # Checks, optimizations and repairs of "original" run on the
+    # compiled module as-is.
+    level = None if level == "original" else level
+    if kind == "check":
+        from repro.mc.parallel import CheckTask
+
+        options = _pick(options, ("max_steps", "max_states", "por",
+                                  "macro", "robustness", "entry"))
+        options.setdefault("robustness", True)
+        return [
+            CheckTask(name=name, source=source, model=model, level=level,
+                      config=config, is_ir=is_ir, **options)
+            for name, source, is_ir in modules
+            for model in models
+        ]
+    from repro.opt.parallel import OptimizeTask, RepairTask
+
+    if kind == "optimize":
+        spec = OptimizeTask
+        options = _pick(options, ("max_steps", "max_states", "require_marks",
+                                  "robustness", "repair_seed", "arch",
+                                  "entry"))
+    else:
+        spec = RepairTask
+        options = _pick(options, ("arch", "verify", "max_steps",
+                                  "max_states"))
+    return [
+        spec(name=name, source=source, model=models[0], level=level,
+             config=config, is_ir=is_ir, **options)
+        for name, source, is_ir in modules
+    ]
+
+
+def _row(kind, task, result):
+    """``(result row, module_done event fields)`` for one finished task."""
+    if kind == "port":
+        return {
+            "name": result.name,
+            "level": result.level,
+            "report": result.report.to_dict() if result.report else None,
+            "barriers": list(result.barriers),
+            "build_seconds": result.build_seconds,
+            "port_seconds": result.port_seconds,
+            "ir": result.ir_text,
+        }, {"port_seconds": result.port_seconds}
+    if kind == "check":
+        return {"name": task.name, **result.to_dict()}, {
+            "model": task.model, "outcome": result.outcome,
+        }
+    done_field = ("verdict_preserved" if kind == "optimize"
+                  else "robust_after")
+    return {"name": task.name, "report": result}, {
+        done_field: result.get(done_field),
+    }
 
 
 def execute_payload(kind, payload, fanout=1, emit=None):
@@ -144,34 +230,32 @@ def execute_payload(kind, payload, fanout=1, emit=None):
 
     Raises on malformed payloads or pipeline errors — the daemon turns
     exceptions into ``failed`` records.  ``emit(type, **fields)``
-    receives progress events; serial single-module jobs additionally
-    stream the porting pipeline's per-stage boundaries through it.
-    ``fanout > 1`` fans multi-module jobs across the persistent process
-    pools (stage events then stay inside the workers).
+    receives progress events; specs run in this thread stream the
+    porting pipeline's per-stage boundaries through it.  ``fanout > 1``
+    runs multi-task jobs through :func:`repro.core.workers.run_batch`
+    on the persistent process pools (stage events then stay inside
+    the workers).  Every ``module_done`` event follows the work.
     """
-    emit = emit or _emit_noop
-    if kind not in JOB_KINDS:
-        raise ValueError(f"unknown job kind {kind!r}")
-    modules = _modules(payload)
-    config = _build_config(payload)
-    level = payload.get("level") or "atomig"
-    options = dict(payload.get("options") or {})
-    emit("job_start", kind=kind, modules=len(modules), level=level)
+    from repro.core.workers import run_batch
 
-    if kind == "port":
-        return _execute_port(modules, level, config, options, fanout, emit)
-    if kind == "check":
-        models = list(payload.get("models") or [payload.get("model", "wmm")])
-        return _execute_check(
-            modules, level, config, models, options, fanout, emit
-        )
-    if kind == "optimize":
-        model = payload.get("model", "wmm")
-        return _execute_optimize(
-            modules, level, config, model, options, fanout, emit
-        )
-    model = payload.get("model", "wmm")
-    return _execute_repair(modules, level, config, model, options, emit)
+    emit = emit or (lambda type_, **fields: None)
+    tasks = job_tasks(kind, payload)
+    emit("job_start", kind=kind, modules=len(payload["modules"]),
+         level=payload.get("level") or "atomig")
+    if len(tasks) > 1 and fanout > 1:
+        emit("fanout", jobs=fanout, tasks=len(tasks))
+        results = run_batch(tasks, jobs=fanout)
+    else:
+        results = []
+        for task in tasks:
+            with _observed(emit, task.name):
+                results.append(task.run())
+    rows = []
+    for task, result in zip(tasks, results):
+        row, done = _row(kind, task, result)
+        rows.append(row)
+        emit("module_done", module=row["name"], **done)
+    return {"kind": kind, "checks" if kind == "check" else "modules": rows}
 
 
 def _observed(emit, name):
@@ -186,126 +270,6 @@ def _observed(emit, name):
         emit(type_, **event)
 
     return stage_observer(forward)
-
-
-def _execute_port(modules, level, config, options, fanout, emit):
-    from repro.core.parallel import PortTask, run_port_task, run_port_tasks
-
-    options = _pick(options, ("emit_ir",))
-    if any(is_ir for _name, _source, is_ir in modules):
-        raise ValueError("port jobs take Mini-C sources, not IR text")
-    tasks = [
-        PortTask(name=name, source=source, level=level, config=config,
-                 emit_ir=bool(options.get("emit_ir")))
-        for name, source, _is_ir in modules
-    ]
-    if len(tasks) > 1 and fanout > 1:
-        emit("fanout", jobs=fanout, tasks=len(tasks))
-        outcomes = run_port_tasks(tasks, jobs=fanout)
-    else:
-        outcomes = []
-        for task in tasks:
-            with _observed(emit, task.name):
-                outcomes.append(run_port_task(task))
-    rows = []
-    for outcome in outcomes:
-        rows.append({
-            "name": outcome.name,
-            "level": outcome.level,
-            "report": outcome.report.to_dict() if outcome.report else None,
-            "barriers": list(outcome.barriers),
-            "build_seconds": outcome.build_seconds,
-            "port_seconds": outcome.port_seconds,
-            "ir": outcome.ir_text,
-        })
-        emit("module_done", module=outcome.name,
-             port_seconds=outcome.port_seconds)
-    return {"kind": "port", "modules": rows}
-
-
-def _execute_check(modules, level, config, models, options, fanout, emit):
-    from repro.mc.parallel import CheckTask, run_task, run_tasks
-
-    options = _pick(options, ("max_steps", "max_states", "por", "macro",
-                              "robustness", "entry"))
-    options.setdefault("robustness", True)
-    task_level = None if level in (None, "original") else level
-    tasks = [
-        CheckTask(name=name, source=source, model=model, level=task_level,
-                  config=config, is_ir=is_ir, **options)
-        for name, source, is_ir in modules
-        for model in models
-    ]
-    if len(tasks) > 1 and fanout > 1:
-        emit("fanout", jobs=fanout, tasks=len(tasks))
-        results = run_tasks(tasks, jobs=fanout)
-    else:
-        results = []
-        for task in tasks:
-            with _observed(emit, task.name):
-                results.append(run_task(task))
-    rows = []
-    for task, result in zip(tasks, results):
-        row = {"name": task.name, **check_to_dict(result)}
-        rows.append(row)
-        emit("module_done", module=task.name, model=task.model,
-             outcome=row["outcome"])
-    return {"kind": "check", "checks": rows}
-
-
-def _execute_optimize(modules, level, config, model, options, fanout, emit):
-    from repro.opt.parallel import (
-        OptimizeTask,
-        run_optimize_task,
-        run_optimize_tasks,
-    )
-
-    options = _pick(options, ("max_steps", "max_states", "require_marks",
-                              "robustness", "repair_seed", "arch", "entry"))
-    task_level = None if level in (None, "original") else level
-    tasks = [
-        OptimizeTask(name=name, source=source, model=model, level=task_level,
-                     config=config, is_ir=is_ir, **options)
-        for name, source, is_ir in modules
-    ]
-    if len(tasks) > 1 and fanout > 1:
-        emit("fanout", jobs=fanout, tasks=len(tasks))
-        reports = run_optimize_tasks(tasks, jobs=fanout)
-    else:
-        reports = []
-        for task in tasks:
-            with _observed(emit, task.name):
-                reports.append(run_optimize_task(task))
-    rows = []
-    for task, report in zip(tasks, reports):
-        rows.append({"name": task.name, "report": report})
-        emit("module_done", module=task.name,
-             verdict_preserved=report.get("verdict_preserved"))
-    return {"kind": "optimize", "modules": rows}
-
-
-def _execute_repair(modules, level, config, model, options, emit):
-    from repro.analysis.repair import repair_module
-    from repro.api import port_module
-    from repro.core.config import PortingLevel
-    from repro.core.workers import cached_module
-
-    options = _pick(options, ("arch", "verify", "max_steps", "max_states"))
-    rows = []
-    for name, source, is_ir in modules:
-        module = cached_module(source, name, is_ir=is_ir)
-        with _observed(emit, name):
-            if level not in (None, "original"):
-                module, _report = port_module(
-                    module, PortingLevel(level), config=config
-                )
-            _repaired, report = repair_module(
-                module, model=model, clone=False, **options
-            )
-        rows.append({"name": name, "report": report.to_dict()})
-        emit("module_done", module=name,
-             robust_after=report.robust_after)
-    return {"kind": "repair", "modules": rows}
 
 
 # -- the daemon --------------------------------------------------------------
@@ -401,13 +365,7 @@ class JobDaemon:
         """
         if self._stop.is_set():
             raise RuntimeError("daemon is shutting down")
-        if kind not in JOB_KINDS:
-            raise ValueError(
-                f"unknown job kind {kind!r} (expected one of "
-                f"{', '.join(JOB_KINDS)})"
-            )
-        _modules(payload)  # validate early: HTTP 400, not a failed job
-        _build_config(payload)
+        job_tasks(kind, payload)  # validate early: HTTP 400, not a failed job
         key = job_dedup_key(kind, payload)
         with self._cond:
             cached = self._records.get(self._dedup.get(key))

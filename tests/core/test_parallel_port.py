@@ -1,4 +1,4 @@
-"""PortTask / run_port_tasks: the parallel porting harness.
+"""PortTask through run_batch: the parallel porting harness.
 
 Determinism contract: the pool path must return outcomes that are
 indistinguishable from the serial path — same reports, same barrier
@@ -11,8 +11,9 @@ import pytest
 from repro.api import compile_source, port_module, run_module
 from repro.bench.corpus import BENCHMARKS
 from repro.core.config import PortingLevel
-from repro.core.parallel import PortOutcome, PortTask, run_port_tasks
+from repro.core.parallel import PortOutcome, PortTask
 from repro.core.report import count_barriers
+from repro.core.workers import run_batch
 from repro.ir.printer import print_module
 
 PROGRAMS = ("ck_ring", "ck_spinlock_cas")
@@ -39,8 +40,8 @@ def _timeless(report):
 
 def test_serial_and_pool_outcomes_match():
     tasks = _tasks(emit_ir=True)
-    serial = run_port_tasks(tasks, jobs=None)
-    pooled = run_port_tasks(tasks, jobs=2)
+    serial = run_batch(tasks, jobs=None)
+    pooled = run_batch(tasks, jobs=2)
     assert len(serial) == len(pooled) == len(tasks)
     for task, left, right in zip(tasks, serial, pooled):
         assert isinstance(left, PortOutcome)
@@ -53,7 +54,7 @@ def test_serial_and_pool_outcomes_match():
 
 def test_pool_ports_equal_inline_ports():
     tasks = _tasks(emit_ir=True)
-    pooled = run_port_tasks(tasks, jobs=2)
+    pooled = run_batch(tasks, jobs=2)
     for task, outcome in zip(tasks, pooled):
         module = compile_source(task.source, task.name)
         ported, report = port_module(module, PortingLevel(task.level))
@@ -66,7 +67,7 @@ def test_pool_ports_equal_inline_ports():
 def test_run_seeds_produce_cycles():
     seeds = (0, 1)
     task = _tasks(run_seeds=seeds)[0]
-    outcome = run_port_tasks([task], jobs=None)[0]
+    outcome = run_batch([task], jobs=None)[0]
     assert len(outcome.cycles) == len(seeds)
     module = compile_source(task.source, task.name)
     ported, _report = port_module(module, PortingLevel(task.level))
@@ -78,7 +79,7 @@ def test_run_seeds_produce_cycles():
 
 def test_compile_only_task():
     source = BENCHMARKS["ck_ring"].mc_source()
-    outcome = run_port_tasks(
+    outcome = run_batch(
         [PortTask(name="ck_ring", source=source)], jobs=None
     )[0]
     assert outcome.level is None
@@ -92,21 +93,21 @@ def test_synth_spec_task():
     task = PortTask(
         name="memcached", synth=("memcached", 400, 0), level="atomig",
     )
-    outcome = run_port_tasks([task], jobs=None)[0]
+    outcome = run_batch([task], jobs=None)[0]
     assert outcome.report is not None
     assert outcome.report.num_spinloops >= 1
     assert outcome.report.stats.total_seconds > 0
 
 
 def test_outcomes_carry_profiles():
-    for outcome in run_port_tasks(_tasks(), jobs=2):
+    for outcome in run_batch(_tasks(), jobs=2):
         stats = outcome.report.stats
         assert stats.total_seconds > 0
         assert "clone" in stats.stage_seconds
 
 
 def test_missing_cycles_without_seeds():
-    outcome = run_port_tasks(_tasks(), jobs=None)[0]
+    outcome = run_batch(_tasks(), jobs=None)[0]
     assert outcome.cycles == ()
     assert outcome.ir_text is None
 

@@ -1,6 +1,7 @@
-"""The persistent worker-pool layer: caching, seeding, accounting."""
+"""The batch runner and its worker pools: caching, dispatch, accounting."""
 
 import os
+from dataclasses import dataclass
 
 from repro.core import workers
 from repro.core.workers import (
@@ -8,7 +9,7 @@ from repro.core.workers import (
     cached_module,
     get_pool,
     pool_stats,
-    seed_worker,
+    run_batch,
     shutdown_pools,
     timed_call,
 )
@@ -46,18 +47,6 @@ class TestModuleCache:
         except Exception:
             pass
         assert workers._source_key(SOURCE, True) not in keys
-
-    def test_seeded_entries_survive_memo_pressure(self):
-        workers._MEMO.clear()
-        seed_worker([("m", SOURCE, False)])
-        try:
-            assert workers._source_key(SOURCE, False) in workers._SEEDED
-            workers._MEMO.clear()
-            module = cached_module(SOURCE, "m")
-            assert "main" in module.functions
-            assert not workers._MEMO  # served from the seed, not memoized
-        finally:
-            workers._SEEDED.clear()
 
     def test_memo_is_bounded(self):
         workers._MEMO.clear()
@@ -118,3 +107,40 @@ class TestPool:
         finally:
             shutdown_pools()
         assert pool_stats() == {}
+
+
+@dataclass(frozen=True)
+class PidTask:
+    """A minimal task spec: reports which process ran it."""
+
+    value: int
+
+    def run(self):
+        return (os.getpid(), self.value * 2)
+
+
+class TestRunBatch:
+    def test_serial_batches_run_in_process(self):
+        shutdown_pools()
+        tasks = [PidTask(value) for value in range(3)]
+        for jobs in (None, 1):
+            assert run_batch(tasks, jobs=jobs) == [
+                (os.getpid(), value * 2) for value in range(3)
+            ]
+        # A single task never pays for a pool either.
+        assert run_batch(tasks[:1], jobs=2) == [(os.getpid(), 0)]
+        assert pool_stats() == {}
+
+    def test_parallel_batches_keep_order_on_the_shared_pool(self):
+        shutdown_pools()
+        try:
+            tasks = [PidTask(value) for value in range(6)]
+            results = run_batch(tasks, jobs=2)
+            assert [doubled for _pid, doubled in results] == [
+                value * 2 for value in range(6)
+            ]
+            assert os.getpid() not in {pid for pid, _doubled in results}
+            run_batch(tasks, jobs=2)
+            assert pool_stats()[2]["batches"] == 2  # one pool, reused
+        finally:
+            shutdown_pools()

@@ -231,12 +231,12 @@ def test_format_exploration_stats_shows_dpor_rows():
 
 def test_check_task_carries_por():
     from repro.mc.litmus import LITMUS_TESTS as GALLERY
-    from repro.mc.parallel import CheckTask, run_task
+    from repro.mc.parallel import CheckTask
 
     source, expected = GALLERY["SB"]
     task = CheckTask(name="sb", source=source, model="wmm", level=None,
                      por="dpor", max_steps=600)
-    result = run_task(task)
+    result = task.run()
     assert result.ok == expected["wmm"]
     assert result.stats.por == "dpor"
 

@@ -1,14 +1,10 @@
-"""The parallel check harness must agree with in-process checking."""
+"""Check task specs must agree with in-process checking."""
 
 from repro.api import compile_source
 from repro.bench.corpus import BENCHMARKS
+from repro.core.workers import run_batch
 from repro.mc.explorer import compare_models
-from repro.mc.parallel import (
-    CheckTask,
-    compare_models_parallel,
-    run_task,
-    run_tasks,
-)
+from repro.mc.parallel import CheckTask
 
 BOUNDS = dict(max_steps=600, max_states=400_000)
 
@@ -24,8 +20,8 @@ def _tasks():
 
 def test_run_tasks_parallel_matches_sequential():
     tasks = _tasks()
-    sequential = run_tasks(tasks, jobs=None)
-    parallel = run_tasks(tasks, jobs=2)
+    sequential = run_batch(tasks, jobs=None)
+    parallel = run_batch(tasks, jobs=2)
     assert len(parallel) == len(tasks)
     for seq, par in zip(sequential, parallel):
         assert par.ok == seq.ok
@@ -38,17 +34,20 @@ def test_run_tasks_parallel_matches_sequential():
 
 def test_run_task_original_level_skips_porting():
     source = BENCHMARKS["message_passing"].mc_source()
-    unported = run_task(CheckTask(name="mp", source=source, model="wmm",
-                                  level=None, **BOUNDS))
+    unported = CheckTask(name="mp", source=source, model="wmm",
+                         level=None, **BOUNDS).run()
     # The unported TSO client hits the WMM reordering.
     assert not unported.ok
 
 
-def test_compare_models_parallel_matches_inprocess():
+def test_model_tasks_on_a_pool_match_compare_models():
     source = BENCHMARKS["message_passing"].mc_source()
-    parallel = compare_models_parallel(source, name="mp", jobs=3, **BOUNDS)
+    models = ("sc", "tso", "wmm")
+    tasks = [CheckTask(name="mp", source=source, model=model, **BOUNDS)
+             for model in models]
+    parallel = dict(zip(models, run_batch(tasks, jobs=3)))
     inprocess = compare_models(compile_source(source, "mp"), **BOUNDS)
-    assert set(parallel) == {"sc", "tso", "wmm"}
+    assert set(inprocess) == set(models)
     for model, result in inprocess.items():
         assert parallel[model].ok == result.ok
         assert parallel[model].outcome == result.outcome
@@ -58,4 +57,4 @@ def test_compare_models_parallel_matches_inprocess():
 def test_jobs_one_runs_in_process():
     """jobs<=1 must not spawn a pool (deterministic default path)."""
     tasks = _tasks()[:1]
-    assert run_tasks(tasks, jobs=1)[0].ok == run_task(tasks[0]).ok
+    assert run_batch(tasks, jobs=1)[0].ok == tasks[0].run().ok

@@ -1,7 +1,8 @@
 """Tests for the batch optimize harness (Table 9's engine)."""
 
 from repro.bench.corpus import BENCHMARKS
-from repro.opt.parallel import OptimizeTask, run_optimize_tasks
+from repro.core.workers import run_batch
+from repro.opt.parallel import OptimizeTask
 
 NAMES = ("ck_spinlock_cas", "message_passing")
 
@@ -17,7 +18,7 @@ def _tasks():
 
 
 def test_sequential_batch_preserves_order_and_verdicts():
-    reports = run_optimize_tasks(_tasks())
+    reports = run_batch(_tasks())
     assert [r["module"] for r in reports] == [
         f"{name}.atomig" for name in NAMES
     ]
@@ -27,8 +28,8 @@ def test_sequential_batch_preserves_order_and_verdicts():
 
 
 def test_parallel_batch_matches_sequential():
-    sequential = run_optimize_tasks(_tasks())
-    parallel = run_optimize_tasks(_tasks(), jobs=2)
+    sequential = run_batch(_tasks())
+    parallel = run_batch(_tasks(), jobs=2)
     for seq, par in zip(sequential, parallel):
         assert par["module"] == seq["module"]
         assert par["verdict_preserved"]

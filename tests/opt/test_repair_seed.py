@@ -13,7 +13,7 @@ from repro.analysis.robustness import analyze_robustness
 from repro.api import compile_source
 from repro.mc.litmus import WEAKENED_LITMUS, weakened_source
 from repro.opt import optimize_module
-from repro.opt.parallel import OptimizeTask, run_optimize_tasks
+from repro.opt.parallel import OptimizeTask
 
 
 def _relaxed_mp():
@@ -68,7 +68,7 @@ def test_optimize_task_carries_repair_seed_and_arch():
         name="MP", source=weakened_source("MP", overrides), model="wmm",
         level=None, require_marks=False, repair_seed=True, arch="power",
     )
-    (report,) = run_optimize_tasks([task], jobs=1)
+    report = task.run()
     assert report["repair"]["robust_after"]
     assert report["repair"]["arch"] == "power"
     assert report["verdict_preserved"]

@@ -126,6 +126,20 @@ def test_bad_requests_are_400(client):
         "config": {"warp_drive": 1},
     })
     assert status == 400 and "warp_drive" in payload["error"]
+    module = {"name": "m", "source": "int x;"}
+    for kind, field, bad in (
+        ("port", "bogus", {"options": {"bogus": 1}}),
+        ("port", "level", {"level": "bogus"}),
+        ("optimize", "model", {"model": "arm"}),
+        ("check", "models", {"models": ["arm"]}),
+        ("check", "models", {"models": "wmm"}),
+    ):
+        status, payload = client.request("POST", "/jobs", body={
+            "kind": kind, "modules": [module], **bad,
+        })
+        assert status == 400 and field in payload["error"], (bad, payload)
+    # Rejected at the door: nothing was queued to fail later.
+    assert client.jobs() == []
 
 
 def test_unknown_routes_and_jobs_are_404(client):

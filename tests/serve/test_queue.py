@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.api import compile_source, port_module
+from repro.api import (
+    check_module,
+    compile_source,
+    optimize_module,
+    port_module,
+    repair_module,
+)
+from repro.bench.corpus import BENCHMARKS
 from repro.core.config import PortingLevel
+from repro.core.report import count_barriers
 from repro.serve.queue import JobDaemon, execute_payload, job_dedup_key
 
 BROKEN_SOURCE = "int main( {"
@@ -79,6 +87,67 @@ def test_execute_check_runs_models(port_payload):
 def test_execute_rejects_unknown_options(port_payload):
     with pytest.raises(ValueError, match="unknown options"):
         execute_payload("port", port_payload(options={"bogus": 1}))
+
+
+#: The two-module tree every job kind runs in the fanout test.
+TREE = ("message_passing", "ck_spinlock_cas")
+
+
+def _timeless(value):
+    """``value`` with every wall-clock key dropped, at any depth."""
+    if isinstance(value, dict):
+        return {key: _timeless(item) for key, item in value.items()
+                if key not in TIMING_KEYS + ("wall_seconds",)}
+    if isinstance(value, list):
+        return [_timeless(item) for item in value]
+    return value
+
+
+def _one_shot_row(kind, name):
+    """The row a job of ``kind`` must report for ``name``, via repro.api."""
+    module = compile_source(BENCHMARKS[name].mc_source(), name)
+    ported, report = port_module(module, PortingLevel.ATOMIG)
+    if kind == "port":
+        return {"name": name, "level": "atomig",
+                "report": report.to_dict(),
+                "barriers": list(count_barriers(ported)), "ir": None}
+    if kind == "check":
+        result = check_module(ported, model="wmm", robustness=True)
+        return {
+            "name": name, "model": "wmm", "ok": result.ok,
+            "outcome": result.outcome, "violation": result.violation,
+            "deadlock": result.deadlock, "truncated": result.truncated,
+            "states_explored": result.states_explored,
+            "verdict_source": result.verdict_source,
+            "notes": list(result.notes),
+        }
+    if kind == "optimize":
+        _optimized, report = optimize_module(ported, model="wmm")
+    else:
+        _repaired, report = repair_module(ported, model="wmm")
+    return {"name": name, "report": report.to_dict()}
+
+
+@pytest.mark.parametrize("kind", ["port", "check", "optimize", "repair"])
+def test_every_kind_fans_out_like_it_runs_serially(kind):
+    payload = {
+        "modules": [{"name": name, "source": BENCHMARKS[name].mc_source()}
+                    for name in TREE],
+        "level": "atomig",
+    }
+    key = "checks" if kind == "check" else "modules"
+    runs = {}
+    for fanout in (1, 2):
+        events = []
+        result = execute_payload(
+            kind, payload, fanout=fanout,
+            emit=lambda type_, **f: events.append((type_, f)),
+        )
+        done = [f["module"] for type_, f in events if type_ == "module_done"]
+        assert done == list(TREE)  # one module_done per task
+        runs[fanout] = _timeless(result[key])
+    assert runs[1] == runs[2]
+    assert runs[1] == [_timeless(_one_shot_row(kind, name)) for name in TREE]
 
 
 def test_execute_emits_stage_events(port_payload):

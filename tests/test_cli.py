@@ -355,14 +355,25 @@ def test_port_json_emit_ir_without_output_warns(mp_file, capsys):
     assert "--emit-ir needs -o" in captured.err
 
 
-def test_check_json_output(mp_file, capsys):
-    code = main(["check", mp_file, "--models", "tso", "wmm",
-                 "--level", "original", "--max-steps", "400", "--json"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_check_json_output(mp_file, capsys, jobs):
+    argv = ["check", mp_file, "--models", "tso", "wmm", "--level",
+            "original", "--max-steps", "400", "--json", "--jobs"]
+    code = main(argv + [jobs])
     assert code == 1  # the wmm violation still drives the exit code
     rows = json.loads(capsys.readouterr().out)
     by_model = {row["model"]: row for row in rows}
     assert by_model["tso"]["ok"]
     assert by_model["wmm"]["violation"] is not None
+    # Worker processes change where the checks run, not what they find.
+    assert main(argv + ["1"]) == code
+    serial = json.loads(capsys.readouterr().out)
+
+    def without_stats(rows):
+        return [{k: v for k, v in row.items() if k != "stats"}
+                for row in rows]
+
+    assert without_stats(rows) == without_stats(serial)
 
 
 def test_litmus_unknown_name_diagnoses_on_stderr(capsys):
