@@ -67,7 +67,13 @@ class Function:
         return self.blocks[0]
 
     def new_block(self, hint="bb"):
-        label = f"{hint}{self._label_counter}"
+        # The counter is unique per function.  Without the separator a
+        # hint ending in a digit could spell another hint's label
+        # ("label.a1" + "1" == "label.a" + "11"); with it, the counter
+        # is always the label's maximal trailing digit run, so the
+        # labels this method hands out never collide.
+        separator = "." if hint[-1:].isdigit() else ""
+        label = f"{hint}{separator}{self._label_counter}"
         self._label_counter += 1
         block = BasicBlock(label, self)
         self.blocks.append(block)

@@ -192,6 +192,10 @@ class IRParser:
             match = _LABEL_RE.match(line.strip())
             if match and not line.startswith(" "):
                 label = match.group("label")
+                if label in blocks:
+                    raise IRError(
+                        f"@{function.name}/{label}: duplicate block label"
+                    )
                 block = BasicBlock(label, function)
                 blocks[label] = block
                 order.append(block)

@@ -64,12 +64,18 @@ def _verify_function(function, module):
         raise IRError(f"@{function.name}: function has no blocks")
     block_set = set(function.blocks)
     defined = set(function.arguments)
+    labels = set()
 
     for block in function.blocks:
         if block.function is not function:
             raise IRError(
                 f"@{function.name}/{block.label}: block.function mismatch"
             )
+        if block.label in labels:
+            raise IRError(
+                f"@{function.name}/{block.label}: duplicate block label"
+            )
+        labels.add(block.label)
         if not block.instructions:
             raise IRError(f"@{function.name}/{block.label}: empty block")
         terminator = block.instructions[-1]

@@ -398,6 +398,30 @@ def _push_event(machine, state, events, akey, node_index, root_tids,
     return event
 
 
+def _schedule_disabled(node, akey, stats):
+    """Schedule, at ``node``, the commits its rmw exec ``akey`` disabled.
+
+    A successful exec takes its address's reservation, which disables
+    every other thread's non-load commit there
+    (``Machine.enabled_actions``) until the exec's own rmw-store
+    commits.  Each such commit enabled at ``node`` is in a race with
+    the exec that the race detector may never see: it only compares
+    executed events, and the disabled commit may never execute in this
+    subtree (sleep sets can prune every continuation in which the
+    reservation clears).  Scheduling it here explores the order the
+    disabling hides — the Flanagan–Godefroid treatment of co-enabled
+    actions where one disables the other.
+    """
+    tid, addr = akey[1], akey[3]
+    scheduled = node.done | {k for _, k in node.todo}
+    for action, other in node.enabled:
+        if (other[0] == "c" and other[1] != tid and other[3] == addr
+                and other[2] != "load" and other not in scheduled
+                and other not in node.sleep):
+            node.todo.append((action, other))
+            stats.backtrack_points += 1
+
+
 def _expand_all(node, stats, wake=True):
     """Flanagan–Godefroid fallback: schedule every enabled action.
 
@@ -630,6 +654,8 @@ def explore_dpor(machine, state, result, stats, macro_on, max_states):
                      or state.heap_top != pre_heap)
         if akey[0] != "v":
             if akey[2] == "rmw":
+                if state.reservations.get(akey[3]) == akey[1]:
+                    _schedule_disabled(node, akey, stats)
                 # A successful exec morphs its entry into "rmw_store"
                 # in place; a failed compare-exchange deletes it.  The
                 # morph is detectable post-apply: per-address FIFO

@@ -6,18 +6,23 @@ O(state size) rebuild for every quiescent state, which BENCH_mc.json
 showed capping the explorer at ~8k states/s.  This module replaces that
 path for the undo-log explorer with three ideas (DESIGN.md §6f):
 
-- **Per-thread byte encodings, memoized on the thread.**  Each thread's
+- **Per-thread hashes, memoized on the thread.**  Each thread's
   canonical content (status, frames, environments, allocas, pending
-  window) is flattened into one length-prefixed list of ints and
-  rendered with a single C-speed ``repr``.  The bytes are cached on the
-  ``Thread`` and invalidated only when the machine mutates that thread,
-  so a thread that did not move between two digests is never re-encoded.
-- **Zobrist memory hashing.**  The shared-memory image contributes a
+  window) is built in one pass as nested tuples of ints and ``None``,
+  serialized with ``marshal`` and hashed to 128 bits.  The hash (and
+  the thread's token numbering) is cached on the ``Thread`` and
+  invalidated only when the machine mutates that thread, so a thread
+  that did not move between two digests is never re-encoded.
+- **Zobrist state keys.**  The shared-memory image contributes a
   128-bit XOR of per-``(addr, value)`` cell hashes, maintained
   *incrementally* by the ``State.mem_write``/``mem_del`` helpers: a
-  store updates the digest in O(1) no matter how large memory is.
-  XOR composition is order-independent, which is exactly the sorted
-  ``(addr, value)`` semantics of the legacy canonical form.
+  store updates the digest in O(1) no matter how large memory is.  The
+  state key XORs that with the thread hashes and with cell hashes of
+  the remaining components (allocation counters, pending memory cells,
+  reservations).  XOR composition is order-independent, which is
+  exactly the sorted semantics of the legacy canonical form, and every
+  component is keyed by a distinct address or thread id in its own
+  hash domain, so no two components of one state can cancel.
 - **Per-thread token normalization.**  Pending-value tokens are
   process-global counters and must be renamed to small dense ids so
   states differing only in token history dedup together.  Tokens never
@@ -30,16 +35,17 @@ path for the undo-log explorer with three ideas (DESIGN.md §6f):
 
 Digest equality is designed to match ``State.canonical()`` equality
 exactly (the property suite in ``tests/property/test_state_engine.py``
-asserts both directions); the only approximation is the Zobrist XOR,
-whose 128-bit collision probability is on par with the legacy BLAKE2
-digest itself.
+asserts both directions); the only approximation is the 128-bit
+hashing, whose collision probability is on par with a BLAKE2 digest of
+the whole canonical form.
 """
 
 import hashlib
+import marshal
 
 # -- Zobrist cell hashes ----------------------------------------------------
 
-#: (addr, value) -> random-looking 128-bit int, derived from BLAKE2 so
+#: (slot, value) -> random-looking 128-bit int, derived from BLAKE2 so
 #: the table needs no seeding and is stable across processes.
 _CELL_HASHES = {}
 #: Reset guard: a pathological run (fuzzing millions of distinct cell
@@ -48,9 +54,15 @@ _CELL_HASHES = {}
 _CELL_HASH_LIMIT = 4_000_000
 
 
-def cell_hash(addr, value):
-    """The Zobrist contribution of one non-zero memory cell."""
-    key = (addr, value)
+def cell_hash(slot, value):
+    """The 128-bit Zobrist hash of one state component.
+
+    A memory cell is ``(addr, value)``.  Every other component passes
+    a string tag as ``slot`` (``"top"``, ``"pending"``, ``"reserved"``)
+    and its fields as ``value``, so distinct components never share a
+    preimage.
+    """
+    key = (slot, value)
     cell = _CELL_HASHES.get(key)
     if cell is None:
         if len(_CELL_HASHES) >= _CELL_HASH_LIMIT:
@@ -102,161 +114,84 @@ _STATUS_CODES = {
 _KIND_CODES = {"load": 0, "store": 1, "rmw": 2, "rmw_store": 3}
 _RMW_CODES = {None: -1, "add": 0, "sub": 1, "or": 2, "and": 3, "xor": 4,
               "xchg": 5}
+#: BLAKE2 personalization of thread hashes: a hash domain of its own,
+#: apart from the Zobrist cell hashes the thread hashes are XORed with.
+_THREAD_PERSON = b"atomig.thread"
+#: Marshal format 2: no object references (added in format 3), so equal
+#: content always serializes to equal bytes.
+_MARSHAL_VERSION = 2
 
-# Value tags (always emitted as a fixed-width [tag, payload] pair so
-# the flat int list parses unambiguously).
-_TAG_PENDING = -1
-_TAG_INT = -2
-_TAG_NONE = -3
 
+def entry_code(kind, addr, order, rmw_op, operand, expected, desired):
+    """The token-free part of a window entry's encoding.
 
-def _append_value(append, token_map, value):
-    """Emit one possibly-pending value as a (tag, payload) int pair."""
-    if type(value) is tuple:  # ("p", token)
-        token = value[1]
-        norm = token_map.get(token)
-        if norm is None:
-            norm = token_map[token] = len(token_map)
-        append(_TAG_PENDING)
-        append(norm)
-    elif value is None:
-        append(_TAG_NONE)
-        append(0)
-    else:
-        append(_TAG_INT)
-        append(value)
+    ``WindowEntry`` computes it once, at construction (entries are
+    immutable); ``encode_thread`` pairs it with the entry's token and
+    value, which are numbered per thread.
+    """
+    return (_KIND_CODES[kind], addr, int(order), _RMW_CODES[rmw_op],
+            operand, expected, desired)
 
 
 def encode_thread(interner, thread):
-    """Injective byte encoding of one thread's canonical content.
+    """``(hash, tokens)`` of one thread's canonical content.
 
     Mirrors the thread part of the legacy ``State.canonical()``: status,
     stack top, per-frame (block, index, sorted env, sorted allocas) and
-    the pending window, with tokens renamed to dense per-thread ids.
-    Token ids are assigned in the *same order* the legacy form assigned
-    them — frame envs in insertion order first, then window entries
-    (token before value) — so the two forms induce the same state
-    partition even for states that differ only in env insertion history.
+    the pending window, with each pending value replaced by a 1-tuple
+    holding its dense per-thread token id.  ``tokens`` maps the
+    thread's live tokens to those ids.  Ids are assigned in the *same
+    order* the legacy form assigned them — frame order, sorted env keys
+    within a frame (env *insertion* order is execution-path-dependent
+    under the env GC + undo log, so numbering must follow content),
+    then window entries (token before value) — so the two forms induce
+    the same state partition.
     """
-    token_map = {}
-    frames = thread.frames
+    tokens = {}
     window = thread.window
-    # Pass 1: token numbering in the same order ``State.canonical()``
-    # assigns it — frame order, sorted env keys within a frame (env
-    # *insertion* order is execution-path-dependent under the env GC +
-    # undo log, so numbering must follow content).  Only pending values
-    # matter, and a pending value always has a matching uncommitted
-    # window entry, so a windowless thread provably holds no tokens.
-    if window:
-        for frame in frames:
-            env = frame.env
-            skeys = frame._skeys
-            if skeys is None:
-                skeys = frame._skeys = sorted(env)
-            for key in skeys:
-                value = env[key]
-                if type(value) is tuple:
-                    token = value[1]
-                    if token not in token_map:
-                        token_map[token] = len(token_map)
-    parts = [
-        thread.tid,
-        _STATUS_CODES[thread.status],
-        thread.stack_top,
-        len(frames),
-    ]
-    append = parts.append
     id_of = interner.id_of
-    for frame in frames:
-        append(id_of(frame.block))
-        append(frame.index)
+    frames = []
+    for frame in thread.frames:
         env = frame.env
         skeys = frame._skeys
         if skeys is None:
             skeys = frame._skeys = sorted(env)
-        append(len(env))
-        for key in skeys:
-            value = env[key]
-            append(key)
-            if type(value) is int:
-                append(_TAG_INT)
-                append(value)
-            else:
-                _append_value(append, token_map, value)
-        allocas = frame.alloca_addrs
+        values = [env[key] for key in skeys]
+        if window:
+            # A pending value always has a matching uncommitted window
+            # entry, so a windowless thread provably holds no tokens.
+            for index, value in enumerate(values):
+                if type(value) is tuple:
+                    token = value[1]
+                    norm = tokens.get(token)
+                    if norm is None:
+                        norm = tokens[token] = len(tokens)
+                    values[index] = (norm,)
         salloc = frame._salloc
         if salloc is None:
-            salloc = frame._salloc = sorted(allocas.items())
-        append(len(allocas))
-        for key, addr in salloc:
-            append(key)
-            append(addr)
-    append(len(window))
+            salloc = frame._salloc = sorted(frame.alloca_addrs.items())
+        frames.append((id_of(frame.block), frame.index, skeys, values,
+                       salloc))
+    entries = []
     for entry in window:
-        append(_KIND_CODES[entry.kind])
-        append(entry.addr)
-        append(int(entry.order))
         token = entry.token
-        if token is None:
-            append(-1)
-        else:
-            norm = token_map.get(token)
+        if token is not None:
+            norm = tokens.get(token)
             if norm is None:
-                norm = token_map[token] = len(token_map)
-            append(norm)
+                norm = tokens[token] = len(tokens)
+            token = norm
         value = entry.value
-        if type(value) is int:
-            append(_TAG_INT)
-            append(value)
-        else:
-            _append_value(append, token_map, value)
-        append(_RMW_CODES[entry.rmw_op])
-        for value in (entry.rmw_operand, entry.rmw_expected,
-                      entry.rmw_desired):
-            if value is None:
-                append(_TAG_NONE)
-                append(0)
-            elif type(value) is int:
-                append(_TAG_INT)
-                append(value)
-            else:
-                _append_value(append, token_map, value)
-    return repr(parts).encode()
-
-
-def _token_positions(state):
-    """token -> (tid, per-thread id) for every live token.
-
-    Needed only when a pending value sits in memory (a private store of
-    an uncommitted load) — the memory section of the digest must then
-    name the token.  Every live token appears in its owner thread's
-    frames or window, so one walk in encoding order recovers the same
-    numbering ``encode_thread`` assigned.
-    """
-    positions = {}
-    for tid, thread in state.threads.items():
-        local = {}
-        for frame in thread.frames:
-            env = frame.env
-            for key in sorted(env):
-                value = env[key]
-                if type(value) is tuple:
-                    token = value[1]
-                    if token not in local:
-                        local[token] = len(local)
-        for entry in thread.window:
-            token = entry.token
-            if token is not None and token not in local:
-                local[token] = len(local)
-            for value in (entry.value, entry.rmw_operand,
-                          entry.rmw_expected, entry.rmw_desired):
-                if type(value) is tuple:
-                    token = value[1]
-                    if token not in local:
-                        local[token] = len(local)
-        for token, norm in local.items():
-            positions[token] = (tid, norm)
-    return positions
+        if type(value) is tuple:
+            norm = tokens.get(value[1])
+            if norm is None:
+                norm = tokens[value[1]] = len(tokens)
+            value = (norm,)
+        entries.append((entry.code, token, value))
+    content = (thread.tid, _STATUS_CODES[thread.status], thread.stack_top,
+               frames, entries)
+    digest = hashlib.blake2b(marshal.dumps(content, _MARSHAL_VERSION),
+                             digest_size=16, person=_THREAD_PERSON)
+    return int.from_bytes(digest.digest(), "little"), tokens
 
 
 # -- state digest -----------------------------------------------------------
@@ -265,31 +200,32 @@ def _token_positions(state):
 def state_digest(state, interner):
     """128-bit dedup key of ``state``, using the incremental caches.
 
-    Sections are NUL-separated (the per-section reprs are pure ASCII
-    with no NUL) and the thread count is part of the header, so the
-    concatenation is an injective framing of the components.
+    The XOR of the Zobrist memory hash, a cell hash of the allocation
+    counters, every thread's memoized hash, and a cell hash per pending
+    memory cell (naming the owner thread's token id) and per
+    reservation.
     """
-    digest = hashlib.blake2b(digest_size=16)
-    update = digest.update
-    update(b"%d %d %d %d" % (state.next_tid, state.heap_top,
-                             state.mem_hash, len(state.threads)))
-    for thread in state.threads.values():
+    key = state.mem_hash ^ cell_hash("top", (state.next_tid, state.heap_top))
+    threads = state.threads
+    for thread in threads.values():
         encoded = thread._enc
         if encoded is None:
             encoded = thread._enc = encode_thread(interner, thread)
-        update(b"\x00")
-        update(encoded)
-    update(b"\x00")
-    pending = state.pending_mem
-    if pending:
-        positions = _token_positions(state)
-        update(repr(sorted(
-            (addr, positions[token]) for addr, token in pending.items()
-        )).encode())
-    update(b"\x00")
-    if state.reservations:
-        update(repr(sorted(state.reservations.items())).encode())
-    return digest.digest()
+        key ^= encoded[0]
+    for addr, token in state.pending_mem.items():
+        for tid, thread in threads.items():
+            norm = thread._enc[1].get(token)
+            if norm is not None:
+                key ^= cell_hash("pending", (addr, tid, norm))
+                break
+        else:
+            raise AssertionError(
+                f"pending memory cell {addr} holds token {token}, "
+                f"which no thread owns"
+            )
+    for addr, tid in state.reservations.items():
+        key ^= cell_hash("reserved", (addr, tid))
+    return key
 
 
 def state_digest_fresh(state, interner):

@@ -15,7 +15,7 @@ fewer scheduling decisions (DESIGN.md §6b):
   explored; the other is put to sleep (Godefroid-style), pruning the
   redundant half of every such diamond.
 
-Dedup keys are the 128-bit incremental BLAKE2 digests of
+Dedup keys are the 128-bit incremental Zobrist state keys of
 :mod:`repro.mc.encode` (not Python ``hash()``, whose 64-bit collisions
 could silently prune an unexplored state and mask a violation).  A
 stuck state with no enabled actions and unfinished threads is reported
@@ -516,11 +516,12 @@ def _explore_stateful(machine, state, result, stats, sleep_on, macro_on,
                 # individually reverted (an ancestor's mark covers them).
                 action, akey = explorable[0]
                 machine.apply_action(state, action)
-                sleep = frozenset(
-                    k for k in sleep if _independent(akey, k)
-                ) | frozenset(
-                    c for c in covered if _independent(akey, c)
-                )
+                if sleep or covered:
+                    sleep = frozenset(
+                        k for k in sleep if _independent(akey, k)
+                    ) | frozenset(
+                        c for c in covered if _independent(akey, c)
+                    )
                 stats.transitions += 1
                 stats.macro_steps += 1
                 key = None
@@ -579,11 +580,12 @@ def _explore_stateful(machine, state, result, stats, sleep_on, macro_on,
                     action, akey, cdigest = children[0]
                     if applied_key is None:
                         machine.apply_action(state, action)
-                    sleep = frozenset(
-                        k for k in sleep if _independent(akey, k)
-                    ) | frozenset(
-                        c for c in covered if _independent(akey, c)
-                    )
+                    if sleep or covered:
+                        sleep = frozenset(
+                            k for k in sleep if _independent(akey, k)
+                        ) | frozenset(
+                            c for c in covered if _independent(akey, c)
+                        )
                     stats.macro_steps += 1
                     key = cdigest  # probe digest of this very state
                     continue

@@ -22,16 +22,19 @@ Fast-state support (DESIGN.md §6f): every mutating site journals an
 undo record when ``Machine.journal`` is active (the explorer),
 memory writes flow through ``State.mem_write``/``mem_del`` so a Zobrist
 digest of the memory image stays incrementally correct, and threads
-carry a memoized byte encoding (``Thread._enc``) invalidated via
+carry a memoized encoding hash (``Thread._enc``) invalidated via
 ``undo.touch`` exactly when their content changes.
 """
+
+import operator
+from bisect import bisect_right
 
 from repro.analysis.liveness import liveness_tables
 from repro.analysis.nonlocal_ import NonLocalInfo
 from repro.ir import instructions as ins
 from repro.ir.instructions import MemoryOrder
 from repro.ir.values import Argument, Constant, GlobalVar
-from repro.mc.encode import Interner, cell_hash
+from repro.mc.encode import Interner, cell_hash, entry_code
 from repro.mc.undo import (
     OP_ALLOC,
     OP_CLK,
@@ -235,8 +238,6 @@ class Context:
 
     def global_region(self, addr):
         """Name of the global variable containing ``addr``, or None."""
-        from bisect import bisect_right
-
         regions = self.global_regions
         index = bisect_right(regions, (addr, float("inf"), "")) - 1
         if index >= 0:
@@ -281,7 +282,10 @@ class WindowEntry:
     Entries are *immutable* once constructed: every in-place update the
     machine used to perform (executing an RMW, resolving a pending
     value) now replaces the entry instead.  Immutability lets cloned
-    states share entry objects and lets ``canonical`` memoize itself.
+    states share entry objects and lets ``canonical`` memoize itself,
+    and it lets the constructor derive, once, the ordering flags the
+    commit rules read (``acq``, ``rel``, ``sc``) and the token-free
+    part of the entry's state encoding (``code``).
     """
 
     __slots__ = (
@@ -295,6 +299,10 @@ class WindowEntry:
         "rmw_operand",
         "rmw_expected",
         "rmw_desired",
+        "acq",
+        "rel",
+        "sc",
+        "code",
         "_canon",
     )
 
@@ -311,6 +319,14 @@ class WindowEntry:
         self.rmw_operand = rmw_operand
         self.rmw_expected = rmw_expected
         self.rmw_desired = rmw_desired
+        # An RMW's load half is acquire, and its store half release,
+        # only under an order that says so: a relaxed LL/SC pair orders
+        # nothing (plain LDXR/STXR on Arm).
+        self.acq = kind in ("load", "rmw") and order.has_acquire
+        self.rel = kind in ("store", "rmw_store") and order.has_release
+        self.sc = order is MemoryOrder.SEQ_CST
+        self.code = entry_code(kind, addr, order, rmw_op, rmw_operand,
+                               rmw_expected, rmw_desired)
         self._canon = None
 
     def resolved_with(self, value):
@@ -323,22 +339,6 @@ class WindowEntry:
 
     def value_pending(self):
         return is_pending(self.value)
-
-    def is_acquire(self):
-        if self.kind == "rmw":
-            # The RMW's load half is acquire only for acquire/SC orders;
-            # a relaxed LL/SC pair orders nothing (plain LDXR on Arm).
-            return self.order.has_acquire
-        return self.kind == "load" and self.order.has_acquire
-
-    def is_release(self):
-        if self.kind == "rmw_store":
-            # Likewise: only release/SC RMWs get a store-release half.
-            return self.order.has_release
-        return self.kind == "store" and self.order.has_release
-
-    def is_sc(self):
-        return self.order is MemoryOrder.SEQ_CST
 
     def canonical(self, token_map):
         if self._canon is not None:
@@ -424,7 +424,7 @@ class Thread:
         self.status = RUN
         self.steps = 0
         self.stack_top = STACK_BASE + tid * STACK_SIZE
-        self._enc = None  # memoized byte encoding (repro.mc.encode)
+        self._enc = None  # memoized (hash, token ids) (repro.mc.encode)
         self._sepoch = -1  # journal epoch of the last OP_STEPS record
         self._bepoch = -1  # probe epoch at which the last probe failed
         frame.stack_base = self.stack_top
@@ -512,7 +512,7 @@ class State:
         # (:mod:`repro.mc.dpor`): event-index table keyed by
         # ``("t", tid)`` / ``("w", addr)`` / ``("r", addr)`` / ``("v",)``
         # with immutable values.  Deliberately EXCLUDED from
-        # ``canonical()`` and the byte encoding — the clocks describe
+        # ``canonical()`` and the state key — the clocks describe
         # the execution path that produced the state, not the state
         # itself, so two path-equivalent states must still digest
         # equally.  Mutations flow through :meth:`clock_set` so the
@@ -1361,7 +1361,10 @@ class Machine:
         right = self._value(frame, instr.right)
         if type(left) is tuple or type(right) is tuple:
             return _BLOCKED
-        return _binop_compute(instr.op, left, right)
+        function = _BINOP_FUNCTIONS.get(instr.op)
+        if function is None:
+            raise ExecutionError(f"unknown binop {instr.op!r}")
+        return function(left, right)
 
     # -- control -------------------------------------------------------------------------
 
@@ -1588,44 +1591,40 @@ def _rmw_compute(op, old, operand):
     raise ExecutionError(f"unknown rmw op {op!r}")
 
 
-def _binop_compute(op, left, right):
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise ExecutionError("division by zero")
-        quotient = abs(left) // abs(right)
-        return -quotient if (left < 0) != (right < 0) else quotient
-    if op == "%":
-        if right == 0:
-            raise ExecutionError("modulo by zero")
-        quotient = abs(left) // abs(right)
-        quotient = -quotient if (left < 0) != (right < 0) else quotient
-        return left - right * quotient
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "<<":
-        return left << (right & 63)
-    if op == ">>":
-        return left >> (right & 63)
-    if op == "==":
-        return 1 if left == right else 0
-    if op == "!=":
-        return 1 if left != right else 0
-    if op == "<":
-        return 1 if left < right else 0
-    if op == ">":
-        return 1 if left > right else 0
-    if op == "<=":
-        return 1 if left <= right else 0
-    if op == ">=":
-        return 1 if left >= right else 0
-    raise ExecutionError(f"unknown binop {op!r}")
+def _divide(left, right):
+    """C division: truncates toward zero."""
+    if right == 0:
+        raise ExecutionError("division by zero")
+    quotient = abs(left) // abs(right)
+    return -quotient if (left < 0) != (right < 0) else quotient
+
+
+def _modulo(left, right):
+    """C remainder: takes the sign of the dividend."""
+    if right == 0:
+        raise ExecutionError("modulo by zero")
+    quotient = abs(left) // abs(right)
+    quotient = -quotient if (left < 0) != (right < 0) else quotient
+    return left - right * quotient
+
+
+# BinOp operators.  Comparisons yield the ints 1/0, never bools: a
+# bool would encode differently from the equal int in the state digest.
+_BINOP_FUNCTIONS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": _modulo,
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+    "<<": lambda left, right: left << (right & 63),
+    ">>": lambda left, right: left >> (right & 63),
+    "==": lambda left, right: 1 if left == right else 0,
+    "!=": lambda left, right: 1 if left != right else 0,
+    "<": lambda left, right: 1 if left < right else 0,
+    ">": lambda left, right: 1 if left > right else 0,
+    "<=": lambda left, right: 1 if left <= right else 0,
+    ">=": lambda left, right: 1 if left >= right else 0,
+}

@@ -94,14 +94,16 @@ class WMMModel(MemoryModel):
         entry = window[index]
         if entry.kind == "store" and entry.value_pending():
             return False  # the stored value comes from an uncommitted load
+        if index and entry.rel:
+            return False  # release: waits for everything earlier
+        addr = entry.addr
+        sc = entry.sc
         for earlier in window[:index]:
-            if earlier.addr == entry.addr:
+            if earlier.addr == addr:
                 return False  # coherence: same-location program order
-            if earlier.is_acquire():
+            if earlier.acq:
                 return False  # acquire: later ops wait
-            if entry.is_release():
-                return False  # release: waits for everything earlier
-            if earlier.is_sc() and entry.is_sc():
+            if sc and earlier.sc:
                 return False  # SC total order respects program order
         return True
 

@@ -7,9 +7,10 @@ mutates one ``State`` and *reverts*.  Every mutating site in
 :func:`revert` pops records back to a mark, restoring the state
 bit-identically — including the incremental-digest caches:
 
-- ``OP_ENC`` snapshots a thread's memoized byte encoding the first time
-  the thread is touched after a digest, so reverting restores not just
-  the content but the cache (the parent state never re-encodes).
+- ``OP_ENC`` snapshots a thread's memoized encoding (its hash and token
+  ids) the first time the thread is touched after a digest, so
+  reverting restores not just the content but the cache (the parent
+  state never re-encodes).
 - ``OP_MEM`` records are replayed through ``State._mem_restore`` so the
   Zobrist memory hash and the pending-cell index roll back with the
   memory image.

@@ -39,6 +39,9 @@ def _function_size(function):
 
 
 def _inline_into(module, caller, recursive, size_limit):
+    # Every label of the caller, kept current across its call sites so
+    # each new label is checked against all earlier ones.
+    labels = {block.label for block in caller.blocks}
     inlined = 0
     changed = True
     while changed:
@@ -54,7 +57,7 @@ def _inline_into(module, caller, recursive, size_limit):
                     continue
                 if _function_size(callee) > size_limit:
                     continue
-                _inline_call_site(module, caller, instr)
+                _inline_call_site(module, caller, instr, labels)
                 inlined += 1
                 changed = True
                 break
@@ -63,14 +66,22 @@ def _inline_into(module, caller, recursive, size_limit):
     return inlined
 
 
-def _inline_call_site(module, caller, call):
-    """Inline one call: split the block, splice in a clone of the callee."""
+def _inline_call_site(module, caller, call, labels):
+    """Inline one call: split the block, splice in a clone of the callee.
+
+    ``labels`` holds the caller's block labels and gains the new ones.
+    A clone is labelled ``inl.<callee>.<label>``, suffixed only when
+    the caller already has that label (the callee inlined twice); the
+    continuation is suffixed likewise (a parsed caller restarts its
+    block counter).
+    """
     callee = call.callee
     block = call.block
     call_index = block.instructions.index(call)
 
     # Continuation block receives everything after the call.
     continuation = caller.new_block(f"inl.cont.{callee.name}")
+    continuation.label = _fresh_label(continuation.label, labels)
     tail = block.instructions[call_index + 1 :]
     del block.instructions[call_index:]
     for moved in tail:
@@ -90,7 +101,8 @@ def _inline_call_site(module, caller, call):
 
     block_map = {}
     for source_block in reverse_postorder(callee):
-        clone = BasicBlock(f"inl.{callee.name}.{source_block.label}", caller)
+        label = _fresh_label(f"inl.{callee.name}.{source_block.label}", labels)
+        clone = BasicBlock(label, caller)
         caller.blocks.append(clone)
         block_map[source_block] = clone
 
@@ -130,6 +142,18 @@ def _inline_call_site(module, caller, call):
     for other_block in caller.blocks:
         for other in other_block.instructions:
             other.replace_operand(call, replacement)
+
+
+def _fresh_label(label, labels):
+    """``label``, suffixed ``.2``, ``.3``, ... if ``labels`` has it; the
+    result is added to ``labels``."""
+    if label in labels:
+        suffix = 2
+        while f"{label}.{suffix}" in labels:
+            suffix += 1
+        label = f"{label}.{suffix}"
+    labels.add(label)
+    return label
 
 
 def _map_value(value, value_map):

@@ -11,12 +11,14 @@ and for the five Table 3 synthetic apps at 1/400, blake2b digests of
 
 A change to the lexer, parser, lockset analysis or anything else on the
 porting path that alters a token, an AST node, a lockset fact or a
-repair decision moves a digest.  A deliberate output change must
-regenerate the file::
+repair decision moves a digest.  The same inputs also pin that every
+port's printed IR parses back to itself.  A deliberate output change
+must regenerate the file::
 
     PYTHONPATH=src python tests/integration/test_port_digests.py --write
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -29,6 +31,7 @@ from repro.api import compile_source, port_module
 from repro.bench.corpus import BENCHMARKS
 from repro.bench.synth import PAPER_TABLE3, SyntheticCodebase
 from repro.core.config import AtoMigConfig, PortingLevel
+from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 
 PATH = os.path.join(os.path.dirname(__file__), "port_digests.json")
@@ -56,16 +59,24 @@ def sources():
     return found
 
 
-def digests(label, source):
-    """The three digests pinned for one input."""
-    module = compile_source(source, label, cache=False)
+@functools.lru_cache(maxsize=None)
+def _printed(label):
+    """Printed IR of one input, compiled and ported, plus the port's
+    repair report dict less its wall-clock time."""
+    module = compile_source(SOURCES[label], label, cache=False)
     ported, report = port_module(module, PortingLevel.ATOMIG,
                                  config=AtoMigConfig(repair_mode=True))
     repair = {key: value for key, value in report.repair.items()
               if key != "wall_seconds"}
+    return print_module(module), print_module(ported), repair
+
+
+def digests(label):
+    """The three digests pinned for one input."""
+    compiled, ported, repair = _printed(label)
     return {
-        "compiled": _digest(print_module(module)),
-        "ported": _digest(print_module(ported)),
+        "compiled": _digest(compiled),
+        "ported": _digest(ported),
         "repair": _digest(json.dumps(repair, sort_keys=True, default=str)),
     }
 
@@ -85,14 +96,22 @@ def test_pinned_inputs_cover_the_corpus():
 
 @pytest.mark.parametrize("label", sorted(SOURCES))
 def test_port_digests_unchanged(label):
-    assert digests(label, SOURCES[label]) == _pinned()[label], label
+    assert digests(label) == _pinned()[label], label
+
+
+@pytest.mark.parametrize("label", sorted(SOURCES))
+def test_printed_port_parses_back(label):
+    """print → parse → print is the identity on every port, including
+    callers that inline one callee twice (each copy's blocks need their
+    own labels)."""
+    _compiled, ported, _repair = _printed(label)
+    assert print_module(parse_module(ported)) == ported, label
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    table = {label: digests(label, source)
-             for label, source in sorted(SOURCES.items())}
+    table = {label: digests(label) for label in sorted(SOURCES)}
     with open(PATH, "w") as handle:
         json.dump(table, handle, indent=1, sort_keys=True)
         handle.write("\n")

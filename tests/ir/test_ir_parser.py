@@ -128,6 +128,20 @@ entry0:
 """)
 
 
+def test_duplicate_block_label_rejected_at_second_occurrence():
+    with pytest.raises(IRError, match=r"@main/loop1: duplicate block label"):
+        parse_module("""
+func @main() -> void {
+entry0:
+  br loop1
+loop1:
+  br loop1
+loop1:
+  ret void
+}
+""")
+
+
 def test_garbage_instruction_rejected():
     with pytest.raises(IRError):
         parse_module("""

@@ -49,6 +49,15 @@ def test_empty_block_rejected():
         verify_module(module)
 
 
+def test_duplicate_block_label_rejected():
+    module, fn, block = make_trivial_module()
+    twin = BasicBlock(block.label, fn)
+    twin.append(ins.Ret())
+    fn.blocks.append(twin)
+    with pytest.raises(IRError, match="duplicate block label"):
+        verify_module(module)
+
+
 def test_mid_block_terminator_rejected():
     module, fn, block = make_trivial_module()
     block.insert(0, ins.Ret())

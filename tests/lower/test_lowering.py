@@ -5,6 +5,8 @@ import pytest
 from repro.api import compile_source
 from repro.ir import instructions as ins
 from repro.ir.instructions import MemoryOrder
+from repro.ir.parser import parse_module
+from repro.ir.printer import print_module
 from repro.ir.verifier import verify_module
 
 
@@ -284,3 +286,30 @@ int main() {
 }
 """)
     assert verify_module(module)
+
+
+def _two_switches():
+    cases = " ".join(f"case {value}: y = {value}; break;" for value in range(13))
+    padding = "if (x) {} " * 84 + "if (x) {} else {} "
+    return (
+        f"int main() {{ int x = 0; int y = 0; switch (x) {{ {cases} }} "
+        f"{padding}switch (y) {{ case 0: y = 1; break; "
+        f"case 1: y = 2; break; }} return y; }}"
+    )
+
+
+# Hints ending in a digit.  Glued to its block counter, goto label "a1"
+# (counter 1) and label "a" (counter 11) would both spell "label.a11";
+# case 12 of the first switch (counter 14) and case 1 of the second
+# (counter 214) would both spell "switch.case1214".
+@pytest.mark.parametrize("source", [
+    "int main() { int x = 0; goto a1; a1: "
+    "if (x) {} if (x) {} if (x) {} if (x) {} a: return 0; }",
+    _two_switches(),
+], ids=["goto_labels", "two_switches"])
+def test_block_labels_unique_when_hints_end_in_digits(source):
+    module = compile_source(source)
+    labels = [block.label for block in module.functions["main"].blocks]
+    assert len(set(labels)) == len(labels)
+    printed = print_module(module)
+    assert print_module(parse_module(printed)) == printed

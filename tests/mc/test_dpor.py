@@ -163,6 +163,52 @@ def test_dpor_reverses_races_behind_an_rmw_reservation(main_unlock,
     assert set(outcomes.values()) == {expected}, outcomes
 
 
+LOCK_TWICE = """
+int lock = 0;
+int key = 0;
+int val = 0;
+void writer() {
+    while (atomic_cmpxchg_explicit(&lock, 0, 1, memory_order_acq_rel) != 0) { }
+    key = 5;
+    val = 50;
+    atomic_store_explicit(&lock, 0, memory_order_relaxed);
+    while (atomic_cmpxchg_explicit(&lock, 0, 1, memory_order_acq_rel) != 0) { }
+    atomic_store_explicit(&lock, 0, memory_order_relaxed);
+}
+int main() {
+    int t = thread_create(writer);
+    while (atomic_cmpxchg_explicit(&lock, 0, 1, memory_order_acq_rel) != 0) { }
+    int v = -1;
+    if (key == 5) { v = val; }
+    atomic_store_explicit(&lock, 0, memory_order_relaxed);
+    assert(v == -1 || v == 50);
+    thread_join(t);
+    return 0;
+}
+"""
+
+
+def test_dpor_explores_the_order_a_reservation_disables():
+    """Regression: one thread takes a CAS lock twice.
+
+    The relaxed unlock lets ``val = 50`` commit after main has taken
+    the lock and read ``key == 5``.  Reaching that needs main's CAS
+    exec between the writer's first unlock and its second CAS exec.
+    When the writer's second exec ran first, its reservation disabled
+    main's exec, the sleep set then blocked the branch, and DPOR never
+    saw the race: it reported ok.  The exec now schedules the commits
+    it disables at its own node.
+    """
+    module = compile_source(LOCK_TWICE, "lock_twice")
+    outcomes = {
+        (por, macro): _outcome(check_module(module, model="wmm", por=por,
+                                            macro=macro, **BOUNDS))
+        for por, macro in (("none", "off"), ("sleep", "on"),
+                           ("dpor", "on"), ("dpor", "off"))
+    }
+    assert set(outcomes.values()) == {"violation"}, outcomes
+
+
 def test_dpor_counters_populated():
     source, _expected = LITMUS_TESTS["SB"]
     module = compile_source(source, "litmus_SB")

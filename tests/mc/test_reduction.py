@@ -178,6 +178,39 @@ def test_digest_has_no_small_int_collisions():
     assert state_digest(state, interner) == digests[1]
 
 
+def test_digest_names_the_cell_holding_a_pending_value():
+    """A private store of an uncommitted load leaves a pending value in
+    memory.  No thread's content says which cell holds it, so the
+    pending-cell term of the key must: two states that differ only
+    there get different keys."""
+    from repro.mc.encode import state_digest
+    from repro.mc.machine import Context, Machine
+    from repro.mc.models import get_model
+
+    source = """
+int x = 0;
+int main() {
+    int a = 0;
+    int b = 0;
+    a = x;
+    assert(a + b == 0);
+    return 0;
+}
+"""
+    machine = Machine(Context(compile_source(source, "pending_cell"),
+                              get_model("wmm")))
+    interner = machine.ctx.interner
+    state = machine.initial_state()
+    (addr, token), = state.pending_mem.items()
+    frame = state.threads[0].frames[-1]
+    other, = [slot for slot in frame.alloca_addrs.values() if slot != addr]
+    moved = state.clone()
+    moved.mem_write(other, ("p", token))
+    moved.mem_write(addr, 0)
+    assert moved.canonical() != state.canonical()
+    assert state_digest(moved, interner) != state_digest(state, interner)
+
+
 def test_stats_attached_and_consistent():
     module = compile_source(BENCHMARKS["ck_spinlock_cas"].mc_source(), "cas")
     ported, _report = port_module(module, PortingLevel.ATOMIG)

@@ -13,9 +13,11 @@ pin that across axes the hand-written tests cannot enumerate:
    footprinted-visible-step dependence in :mod:`repro.mc.dpor` lives
    on.
 3. A relaxed-CAS spin lock under random per-thread CAS and unlock
-   orders, against both the sleep backend and the unreduced explorer:
-   an rmw reservation disables the other thread's commits on the lock
-   word, the dependence DPOR once raced at the wrong event.
+   orders, each thread optionally taking the lock a second time,
+   against both the sleep backend and the unreduced explorer: an rmw
+   reservation disables the other thread's commits on the lock word,
+   the dependence DPOR once raced at the wrong event, and once missed
+   when a thread's second exec disabled the other's.
 4. The in-place DPOR engine against a clone-snapshot reference: every
    node's state is copied with ``State.clone()`` when it opens, and
    every journal revert back to the node must reproduce that copy,
@@ -123,7 +125,7 @@ void worker() {{
     int c = counter;
     counter = c + 1;
     atomic_store_explicit(&lock_word, 0, {unlock_worker});
-}}
+{again_worker}}}
 
 int main() {{
     int t = thread_create(worker);
@@ -131,10 +133,17 @@ int main() {{
     int c = counter;
     counter = c + 1;
     atomic_store_explicit(&lock_word, 0, {unlock_main});
-    thread_join(t);
+{again_main}    thread_join(t);
     assert(counter == 2);
     return 0;
 }}
+"""
+
+
+#: An empty second critical section, taken with the thread's orders.
+AGAIN = """\
+    while (atomic_cmpxchg_explicit(&lock_word, 0, 1, {cas}) != 0) {{ }}
+    atomic_store_explicit(&lock_word, 0, {unlock});
 """
 
 
@@ -144,13 +153,22 @@ int main() {{
     cas_worker=st.sampled_from(CAS_ORDERS),
     unlock_main=st.sampled_from(STORE_ORDERS),
     unlock_worker=st.sampled_from(STORE_ORDERS),
+    twice_main=st.booleans(),
+    twice_worker=st.booleans(),
     model=st.sampled_from(MODELS),
 )
 def test_cas_lock_random_orders_identity(cas_main, cas_worker, unlock_main,
-                                         unlock_worker, model):
+                                         unlock_worker, twice_main,
+                                         twice_worker, model):
+    again_main = (AGAIN.format(cas=cas_main, unlock=unlock_main)
+                  if twice_main else "")
+    again_worker = (AGAIN.format(cas=cas_worker, unlock=unlock_worker)
+                    if twice_worker else "")
     source = CAS_LOCK.format(cas_main=cas_main, cas_worker=cas_worker,
                              unlock_main=unlock_main,
-                             unlock_worker=unlock_worker)
+                             unlock_worker=unlock_worker,
+                             again_main=again_main,
+                             again_worker=again_worker)
     module = compile_source(source, "cas_lock")
     full = check_module(module, model=model, por="none", macro="off",
                         **BOUNDS)

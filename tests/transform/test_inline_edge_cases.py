@@ -3,6 +3,7 @@ splice-based inlining implementations."""
 
 from repro.api import compile_source
 from repro.ir import instructions as ins
+from repro.ir.parser import parse_module
 from repro.ir.verifier import verify_module
 from repro.transform.inline import inline_module
 from repro.vm.interp import run_module
@@ -128,3 +129,28 @@ int main() { return c(); }
         i for i in module.functions["main"].instructions()
         if isinstance(i, ins.Call)
     ]
+
+
+def test_continuation_label_taken_in_parsed_caller():
+    # A parsed function restarts its block counter, so the first
+    # continuation label, "inl.cont.f0", is already one of main's.
+    module = parse_module("""
+func @f(%a: int) -> int {
+entry0:
+  %1 = %a + 1
+  ret %1
+}
+
+func @main() -> int {
+entry0:
+  br inl.cont.f0
+inl.cont.f0:
+  %1 = call @f(41)
+  ret %1
+}
+""")
+    assert inline_module(module) == 1
+    verify_module(module)
+    labels = [block.label for block in module.functions["main"].blocks]
+    assert len(set(labels)) == len(labels)
+    assert run_module(module).exit_value == 42
