@@ -10,7 +10,9 @@ PR 2 onward (EXPERIMENTS.md):
 - **Throughput**: the undo-log explorer must clear an absolute
   states/second floor.  The floor is set from measured single-core
   container runs with ≥2x headroom for timer noise (see
-  EXPERIMENTS.md for the methodology and the honest numbers).
+  EXPERIMENTS.md for the methodology and the honest numbers).  Every
+  (program, backend) cell runs ``REPEATS`` times; its counts must
+  repeat exactly, and its row records the median wall time.
 - **Source-DPOR** (PR 9): the ``por="dpor"`` backend must stay
   verdict-identical to sleep everywhere, beat sleep ≥2x on the median
   of its gate trio (states_visited), never exceed sleep on the
@@ -42,6 +44,10 @@ from repro.core.config import PortingLevel
 from repro.mc.explorer import check_module
 
 BOUNDS = dict(max_steps=3000, max_states=1_500_000)
+#: Timed runs per (program, backend) cell.  A cell takes 5-90 ms, so
+#: one run's states/s is mostly scheduler noise; the median of five is
+#: what a committed BENCH_mc.json row can carry.
+REPEATS = 5
 #: POR reduction bar.  Through PR 6 the acceptance floor was three
 #: programs over 5x; PR 7's liveness env GC dedups states that differ
 #: only in dead registers *before* POR runs, shrinking the unreduced
@@ -103,6 +109,27 @@ def _rate(states, wall_seconds):
     return states / wall_seconds
 
 
+def _counts(result):
+    """Everything a run reports except its timing."""
+    stats = result.stats.to_dict()
+    del stats["wall_seconds"], stats["states_per_second"]
+    return result.outcome, result.states_explored, json.dumps(stats)
+
+
+def _check_cell(module, por):
+    """Check one cell ``REPEATS`` times; the first result, carrying the
+    median wall time.  The counts must repeat exactly."""
+    results = [check_module(module, model="wmm", por=por, **BOUNDS)
+               for _ in range(REPEATS)]
+    counts = {_counts(result) for result in results}
+    assert len(counts) == 1, (module.name, por, counts)
+    first = results[0]
+    first.stats.wall_seconds = statistics.median(
+        result.stats.wall_seconds for result in results
+    )
+    return first
+
+
 def _measure_rows():
     rows = []
     for name in TABLE2_BENCHMARKS:
@@ -110,10 +137,9 @@ def _measure_rows():
         builder = bench.gate_source or bench.mc_source
         module = compile_source(builder(), name)
         ported, _report = port_module(module, PortingLevel.ATOMIG)
-        oracle = check_module(ported, model="wmm", por="none", macro="off",
-                              **BOUNDS)
-        sleep = check_module(ported, model="wmm", **BOUNDS)
-        dpor = check_module(ported, model="wmm", por="dpor", **BOUNDS)
+        oracle = _check_cell(ported, "none")
+        sleep = _check_cell(ported, "sleep")
+        dpor = _check_cell(ported, "dpor")
         rows.append({
             "program": name,
             "client": "gate" if bench.gate_source else "mc",

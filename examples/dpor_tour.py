@@ -36,8 +36,7 @@ from repro.mc.litmus import LITMUS_TESTS
 def run_backends(module, model, **bounds):
     """Check ``module`` under every backend, returning {por: result}."""
     return {
-        por: check_module(module, model=model, por=por,
-                          macro="off" if por == "none" else "on", **bounds)
+        por: check_module(module, model=model, por=por, **bounds)
         for por in ("none", "sleep", "dpor")
     }
 

@@ -745,7 +745,7 @@ def repair_module(module, model="wmm", arch=None, cost_model=None,
                   clone=True, max_cycles_per_pair=4, max_total_cycles=64,
                   max_rounds=4, verify=False, max_steps=2500,
                   max_states=400_000, analyzer=None, cache=None,
-                  name_heuristic=True, por="sleep", macro="on"):
+                  name_heuristic=True):
     """Statically repair ``module`` to robustness under ``model``.
 
     Returns ``(repaired_module, RepairReport)``.  ``arch`` names the
@@ -842,8 +842,7 @@ def repair_module(module, model="wmm", arch=None, cost_model=None,
 
         result = check_module(
             module, model=model, max_steps=max_steps,
-            max_states=max_states, robustness=True, por=por,
-            macro=macro,
+            max_states=max_states, robustness=True,
         )
         report.verify = {
             "outcome": result.outcome,

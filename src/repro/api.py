@@ -63,24 +63,22 @@ def port_module(module, level=PortingLevel.ATOMIG, config=None,
 
 
 def check_module(module, model="wmm", max_steps=2500, max_states=2_000_000,
-                 robustness=False, por="sleep", macro="on"):
+                 robustness=False, por="sleep"):
     """Exhaustively model-check ``module`` starting from ``main``.
 
     ``model`` is ``"sc"``, ``"tso"`` or ``"wmm"``.  Returns a
     :class:`repro.mc.explorer.CheckResult` whose ``violation`` field
     holds a counterexample trace when an assertion can fail.
     Reduction is controlled by ``por`` (``"none"``/``"sleep"``/
-    ``"dpor"``) and ``macro`` (``"on"``/``"off"``); ``por="none",
-    macro="off"`` is the slow unreduced oracle.  All backends return
-    identical verdicts by construction.  ``robustness=True`` tries the
-    static critical-cycle pre-pass first and skips exploration for
-    provably robust modules.
+    ``"dpor"``); ``por="none"`` is the slow unreduced oracle.  All
+    backends return identical verdicts by construction.
+    ``robustness=True`` tries the static critical-cycle pre-pass first
+    and skips exploration for provably robust modules.
     """
     from repro.mc.explorer import check_module as _check
 
     return _check(module, model=model, max_steps=max_steps,
-                  max_states=max_states, por=por, macro=macro,
-                  robustness=robustness)
+                  max_states=max_states, por=por, robustness=robustness)
 
 
 def lint_module(module, name_heuristic=True):
@@ -101,9 +99,9 @@ def lint_module(module, name_heuristic=True):
     )
 
 
-def run_module(module, entry="main", schedule_seed=0, cost_model=None,
+def run_module(module, schedule_seed=0, cost_model=None,
                record_counts=False):
-    """Execute ``module`` on the performance VM.
+    """Execute ``module`` on the performance VM, starting from ``main``.
 
     Returns a :class:`repro.vm.interp.RunResult` with the program exit
     value, per-class dynamic operation counts (the paper's Table 4) and
@@ -115,8 +113,8 @@ def run_module(module, entry="main", schedule_seed=0, cost_model=None,
     from repro.vm.interp import run_module as _run
 
     return _run(
-        module, entry=entry, schedule_seed=schedule_seed,
-        cost_model=cost_model, record_counts=record_counts,
+        module, schedule_seed=schedule_seed, cost_model=cost_model,
+        record_counts=record_counts,
     )
 
 

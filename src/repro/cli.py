@@ -219,8 +219,7 @@ def cmd_optimize(args):
     from repro.api import optimize_module
 
     optimized, report = optimize_module(
-        module, model=args.model, max_steps=args.max_steps,
-        jobs=args.jobs, counts=counts,
+        module, model=args.model, max_steps=args.max_steps, counts=counts,
         require_marks=not args.all_accesses,
         robustness=args.robustness,
     )
@@ -256,7 +255,7 @@ def _check_results(args):
         CheckTask(
             name=args.file, source=source, model=model,
             level=args.level if needs_port else None,
-            max_steps=args.max_steps, por=args.por, macro=args.macro,
+            max_steps=args.max_steps, por=args.por,
             config=config, is_ir=args.file.endswith(".ir"),
             robustness=args.robustness,
         )
@@ -862,9 +861,6 @@ def build_parser():
                           help="memory model the oracle checks under "
                                "(default: wmm)")
     optimize.add_argument("--max-steps", type=int, default=2500)
-    optimize.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="probe bisection halves on N worker "
-                               "processes")
     optimize.add_argument("--dynamic", action="store_true",
                           help="run the performance VM first and weight "
                                "candidates by dynamic execution counts")
@@ -902,12 +898,9 @@ def build_parser():
                        help="partial-order-reduction backend: 'sleep' "
                             "(Godefroid sleep sets, the default), "
                             "'dpor' (source-DPOR with happens-before "
-                            "clocks and race-driven backtracking), or "
-                            "'none' (enumerate every interleaving)")
-    check.add_argument("--macro", default="on", choices=["on", "off"],
-                       help="macro-stepping of single-choice runs "
-                            "(default on; independent of --por so "
-                            "ablations can isolate each reduction)")
+                            "clocks and race-driven backtracking), both "
+                            "with macro-stepping of single-choice runs, "
+                            "or 'none' (enumerate every interleaving)")
     check.add_argument("--robustness", default=True,
                        action=argparse.BooleanOptionalAction,
                        help="skip exploration for statically robust "

@@ -43,8 +43,8 @@ def run_porting(module, level=PortingLevel.ATOMIG, config=None,
     are relaxed as far as the model checker certifies the verdict
     unchanged.  The weakened module is returned and the
     ``OptimizationReport`` dict lands in ``report.optimization``.
-    ``optimize_kwargs`` forwards knobs (``model``, ``jobs``,
-    ``counts``...) to the optimizer.
+    ``optimize_kwargs`` forwards knobs (``model``, ``counts``...) to
+    the optimizer.
     """
     started = time.perf_counter()
     config = config or AtoMigConfig.for_level(level)

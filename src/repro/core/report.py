@@ -257,10 +257,7 @@ def format_exploration_stats(stats):
     """
     rows = []
     if getattr(stats, "por", ""):
-        backend = f"por={stats.por}"
-        if getattr(stats, "macro", ""):
-            backend += f", macro={stats.macro}"
-        rows.append(("backend", backend))
+        rows.append(("backend", f"por={stats.por}"))
     rows += [
         ("scheduling decisions", f"{stats.states_explored}"),
         ("states visited", f"{stats.states_visited}"),

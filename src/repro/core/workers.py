@@ -1,8 +1,8 @@
 """The one batch runner and its persistent worker pools (DESIGN.md §6f).
 
 Every batch in the repo — the table harnesses, ``atomig check
---jobs``, the optimizer's bisection probes and multi-module serve
-jobs — is a list of task specs (:class:`repro.mc.parallel.CheckTask`,
+--jobs`` and multi-module serve jobs — is a list of task specs
+(:class:`repro.mc.parallel.CheckTask`,
 :class:`repro.core.parallel.PortTask`,
 :class:`repro.opt.parallel.OptimizeTask`,
 :class:`repro.opt.parallel.RepairTask`).  Each spec is picklable and
@@ -11,12 +11,14 @@ in-process or on a pool.  Three mechanisms keep the pools cheap:
 
 - **Persistent pools.**  :func:`get_pool` keeps one pool per worker
   count alive for the whole process (closed via ``atexit``), so a
-  bisection loop that probes dozens of batches forks exactly once.
+  daemon or table run that submits many batches forks exactly once.
 - **Worker-side module caches.**  :func:`cached_module` memoizes
-  compiled/parsed modules by source digest inside each worker (and in
-  the in-process path), so a sweep that checks the same program under
-  ``sc``/``tso``/``wmm`` compiles it once per worker.  Cache hits hand
-  out ``Module.clone()`` copies — the porting pipeline may mutate its
+  compiled/parsed modules inside each worker (and in the in-process
+  path), keyed like :mod:`repro.modcache` on the source text and the
+  module name, so a sweep that checks the same program under
+  ``sc``/``tso``/``wmm`` compiles it once per worker, and two modules
+  with one source keep their own names.  Cache hits hand out
+  ``Module.clone()`` copies — the porting pipeline may mutate its
   input, so the cached master is never exposed.
 - **Interned location keys + per-worker timing.**  Caching interns the
   module's global/function name strings (the location keys every
@@ -27,24 +29,20 @@ in-process or on a pool.  Three mechanisms keep the pools cheap:
 """
 
 import atexit
-import hashlib
 import os
 import sys
 import time
 from functools import partial
 
+from repro import modcache
+
 # -- worker-side state (one copy per worker process) ------------------------
 
-#: Compiled modules by source digest.  Bounded: a long bisection
-#: streams thousands of one-shot variants through a worker, and caching
-#: them all would only grow memory.
+#: Compiled modules by (is_ir, source digest).  Bounded: a long-lived
+#: daemon worker streams every submitted source through it, and
+#: caching them all would only grow memory.
 _MEMO = {}
 _MEMO_LIMIT = 128
-
-
-def _source_key(source, is_ir):
-    tag = b"ir|" if is_ir else b"c|"
-    return hashlib.blake2b(tag + source.encode(), digest_size=16).digest()
 
 
 def _compile(source, name, is_ir):
@@ -77,7 +75,7 @@ def cached_module(source, name, is_ir=False):
     Misses compile (or parse) and memoize; hits return
     ``Module.clone()`` so callers may mutate freely.
     """
-    key = _source_key(source, is_ir)
+    key = (is_ir, modcache.source_digest(source, name))
     master = _MEMO.get(key)
     if master is None:
         master = _compile(source, name, is_ir)

@@ -491,14 +491,13 @@ def _insert_backtrack(nodes, events, race, event, stats):
     _expand_all(target, stats)
 
 
-def explore_dpor(machine, state, result, stats, macro_on, max_states):
+def explore_dpor(machine, state, result, stats, max_states):
     """Source-DPOR traversal from the built root ``state``; drop-in peer
     of the explorer's stateful traversal.
 
-    ``macro_on`` only affects decision-point *counting* (single-choice
-    nodes count as macro steps instead of decisions), mirroring the
-    sleep backend's metric; the traversal itself is identical either
-    way, since DPOR needs a node per event as a backtrack target.
+    Single-choice nodes count as macro steps instead of decisions,
+    mirroring the sleep backend's metric; DPOR still keeps a node per
+    event, as a backtrack target.
     """
     interner = machine.ctx.interner
     journal = machine.journal
@@ -573,7 +572,7 @@ def explore_dpor(machine, state, result, stats, macro_on, max_states):
             sleep=sleep,
             in_akey=in_akey,
         )
-        if not macro_on or len(schedulable) > 1:
+        if len(schedulable) > 1:
             node.counted = True
             result.states_explored += 1
         else:

@@ -45,9 +45,9 @@ from repro.mc.undo import revert
 
 #: Partial-order-reduction backends: Godefroid sleep sets (the
 #: default), source-DPOR over reads-from equivalence
-#: (:mod:`repro.mc.dpor`), or none (the slow validation oracle).
+#: (:mod:`repro.mc.dpor`), or none (the slow validation oracle).  Both
+#: reducing backends macro-step single-choice runs; ``none`` does not.
 PORS = ("none", "sleep", "dpor")
-MACROS = ("on", "off")
 
 
 @dataclass
@@ -55,16 +55,18 @@ class ExplorationStats:
     """Observability record for one exploration (``atomig check --stats``).
 
     Serialized rows (``to_dict``/``to_json``) carry a ``schema``
-    version plus the ``por``/``macro`` configuration that produced
-    them, so BENCH_mc.json cells are self-describing and a consumer can
-    tell a sleep-set row from a DPOR row without context.  Schema
-    history: 1 = unversioned, counters only; 2 = adds version +
-    provenance + the DPOR counters; 3 = drops the ``engine``
-    provenance field (one exploration substrate remains).
+    version plus the ``por`` backend that produced them, so
+    BENCH_mc.json cells are self-describing and a consumer can tell a
+    sleep-set row from a DPOR row without context.  Schema history:
+    1 = unversioned, counters only; 2 = adds version + provenance + the
+    DPOR counters; 3 = drops the ``engine`` provenance field (one
+    exploration substrate remains); 4 = drops the ``macro`` provenance
+    field (``por`` implies it: sleep and dpor macro-step, none does
+    not).
     """
 
     #: to_dict()/to_json() layout version.
-    SCHEMA = 3
+    SCHEMA = 4
 
     #: Scheduling decision points (mirrored into CheckResult).
     states_explored: int = 0
@@ -102,8 +104,6 @@ class ExplorationStats:
     cycle_expansions: int = 0
     #: Provenance: partial-order-reduction backend ("none"/"sleep"/"dpor").
     por: str = ""
-    #: Provenance: macro-stepping ("on"/"off").
-    macro: str = ""
     wall_seconds: float = 0.0
 
     @property
@@ -123,7 +123,6 @@ class ExplorationStats:
         return {
             "schema": self.SCHEMA,
             "por": self.por,
-            "macro": self.macro,
             "states_explored": self.states_explored,
             "states_visited": self.states_visited,
             "transitions": self.transitions,
@@ -147,12 +146,7 @@ class ExplorationStats:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def summary(self):
-        provenance = ""
-        if self.por:
-            bits = [self.por]
-            if self.macro:
-                bits.append(f"macro={self.macro}")
-            provenance = f"[{'/'.join(bits)}] "
+        provenance = f"[{self.por}] " if self.por else ""
         dpor = ""
         if self.por == "dpor":
             dpor = (
@@ -307,24 +301,21 @@ def _independent(key_a, key_b):
         and kinds[1] in ("load", "rmw")
 
 
-def check_module(module, model="wmm", entry="main", max_steps=2500,
-                 max_states=2_000_000, robustness=False, por="sleep",
-                 macro="on"):
-    """Exhaustively check all executions of ``module`` from ``entry``.
+def check_module(module, model="wmm", max_steps=2500,
+                 max_states=2_000_000, robustness=False, por="sleep"):
+    """Exhaustively check all executions of ``module`` from ``main``.
 
     Returns the first assertion violation found (depth-first order) or
     an ``ok`` result once the reachable quiescent-state space is
     exhausted.
 
-    Reduction is controlled by two independent knobs:
-
-    - ``por``: the partial-order-reduction backend — ``"sleep"``
-      (Godefroid sleep sets + ample steps + loop prunes, the default),
-      ``"dpor"`` (source-DPOR with happens-before vector clocks and
-      race-driven backtracking, :mod:`repro.mc.dpor`), or ``"none"``
-      (the slow oracle every backend is validated against).
-    - ``macro``: ``"on"``/``"off"`` — compress single-choice runs into
-      uncounted macro-steps.
+    ``por`` selects the partial-order-reduction backend: ``"sleep"``
+    (Godefroid sleep sets + ample steps + loop prunes, the default),
+    ``"dpor"`` (source-DPOR with happens-before vector clocks and
+    race-driven backtracking, :mod:`repro.mc.dpor`), or ``"none"``
+    (the slow oracle every backend is validated against).  Both
+    reducing backends also compress single-choice runs into uncounted
+    macro-steps; ``"none"`` counts every fresh state.
 
     All backends return identical verdicts (the property suite
     enforces this); they differ only in how many states they visit to
@@ -340,9 +331,6 @@ def check_module(module, model="wmm", entry="main", max_steps=2500,
     """
     if por not in PORS:
         raise ValueError(f"unknown por backend {por!r} (use one of {PORS})")
-    if macro not in MACROS:
-        raise ValueError(f"unknown macro mode {macro!r} (use 'on'/'off')")
-    macro_on = macro == "on"
     if robustness and model in ("tso", "wmm"):
         from repro.analysis.robustness import analyze_robustness
 
@@ -350,7 +338,7 @@ def check_module(module, model="wmm", entry="main", max_steps=2500,
         if robust.robust:
             result = CheckResult(model=model, verdict_source="robustness")
             result.stats = ExplorationStats(
-                wall_seconds=robust.wall_seconds, por=por, macro=macro,
+                wall_seconds=robust.wall_seconds, por=por,
             )
             result.notes.append(
                 f"statically robust: no critical cycle with an "
@@ -360,10 +348,10 @@ def check_module(module, model="wmm", entry="main", max_steps=2500,
             )
             return result
     model_obj = get_model(model)
-    context = Context(module, model_obj, entry=entry)
+    context = Context(module, model_obj)
     machine = Machine(context, max_steps=max_steps)
     result = CheckResult(model=model)
-    stats = ExplorationStats(por=por, macro=macro)
+    stats = ExplorationStats(por=por)
     result.stats = stats
     started = time.perf_counter()
     try:
@@ -377,26 +365,24 @@ def check_module(module, model="wmm", entry="main", max_steps=2500,
         if por == "dpor":
             from repro.mc.dpor import explore_dpor
 
-            explore_dpor(machine, state, result, stats, macro_on, max_states)
+            explore_dpor(machine, state, result, stats, max_states)
         else:
             _explore_stateful(machine, state, result, stats, por == "sleep",
-                              macro_on, max_states)
+                              max_states)
     stats.wall_seconds = time.perf_counter() - started
     stats.states_explored = result.states_explored
     return result
 
 
-def _explore_stateful(machine, state, result, stats, sleep_on, macro_on,
-                      max_states):
+def _explore_stateful(machine, state, result, stats, reduce, max_states):
     """Stateful (dedup) DFS from the built root ``state``, for the
     ``none`` and ``sleep`` backends.
 
-    ``sleep_on`` gates the sleep sets, ample (invisible-commit) steps
-    and the covered-set bookkeeping; ``macro_on`` gates macro-step
-    compression of single-choice runs.  With both off the traversal is
-    the unreduced oracle (every fresh state counted); with either on,
-    the reduced probing path (loop prunes, decision-point counting) is
-    used.
+    ``reduce`` (the sleep backend) turns on the sleep sets, ample
+    (invisible-commit) steps, the covered-set bookkeeping, macro-step
+    compression of single-choice runs, loop prunes and decision-point
+    counting.  Off, the traversal is the unreduced oracle: every fresh
+    state is counted.
 
     One mutable state, undo-log reverts, incremental digests: the DFS
     stack holds *descriptors* ``(mark, action, sleep, digest)``:
@@ -413,7 +399,6 @@ def _explore_stateful(machine, state, result, stats, sleep_on, macro_on,
     reverting to its own mark, which unwinds whatever the previous
     subtree left behind.
     """
-    reduce = sleep_on or macro_on
     interner = machine.ctx.interner
     digest_check = bool(os.environ.get("ATOMIG_DIGEST_CHECK"))
     journal = machine.journal
@@ -511,7 +496,7 @@ def _explore_stateful(machine, state, result, stats, sleep_on, macro_on,
                 else:
                     explorable = pairs
 
-            if macro_on and len(explorable) == 1:
+            if reduce and len(explorable) == 1:
                 # Macro-step: apply directly; macro steps are never
                 # individually reverted (an ancestor's mark covers them).
                 action, akey = explorable[0]
@@ -528,7 +513,7 @@ def _explore_stateful(machine, state, result, stats, sleep_on, macro_on,
                 continue
 
             node_mark = len(journal)
-            if sleep_on and not revisit:
+            if reduce and not revisit:
                 invisible = next(
                     (pair for pair in explorable
                      if machine.action_invisible(state, pair[0])),
@@ -575,7 +560,7 @@ def _explore_stateful(machine, state, result, stats, sleep_on, macro_on,
                 if not children:
                     break  # nothing but spin retries (state may be
                     # dirty; the next pop reverts to its own mark)
-                if macro_on and len(children) == 1:
+                if len(children) == 1:
                     # The choice was illusory: continue as a macro-step.
                     action, akey, cdigest = children[0]
                     if applied_key is None:
@@ -598,11 +583,10 @@ def _explore_stateful(machine, state, result, stats, sleep_on, macro_on,
                     for c in covered:
                         if _independent(akey, c):
                             child_sleep.add(c)
-                    if sleep_on:
-                        for later_index in range(index + 1, len(children)):
-                            later_key = children[later_index][1]
-                            if _independent(later_key, akey):
-                                child_sleep.add(later_key)
+                    for later_index in range(index + 1, len(children)):
+                        later_key = children[later_index][1]
+                        if _independent(later_key, akey):
+                            child_sleep.add(later_key)
                     if index == last and applied_key is not None:
                         # Still applied from probing: popped first, so
                         # hand it its own post-apply mark and no action.

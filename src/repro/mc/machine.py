@@ -78,10 +78,9 @@ def is_pending(value):
 class Context:
     """Immutable per-check data shared by all explored states."""
 
-    def __init__(self, module, model, entry="main"):
+    def __init__(self, module, model):
         self.module = module
         self.model = model
-        self.entry = entry
         self.interner = Interner()
         self.global_addr = {}
         self.global_layout = []  # (addr, value) initial memory image
@@ -95,10 +94,10 @@ class Context:
             size = max(gvar.value_type.size, 1)
             self.global_regions.append((addr, addr + size, gvar.name))
             addr += size
-        # Only the entry and what it transitively calls or spawns can
+        # Only ``main`` and what it transitively calls or spawns can
         # ever get a frame, so every per-function table below covers
         # just that closure.
-        functions = _entry_closure(module, entry)
+        functions = _main_closure(module)
         # Frame-free operand values (constants, global addresses),
         # resolved once: the interpreter's ``_value`` becomes one dict
         # probe + env lookup instead of an isinstance chain.
@@ -247,10 +246,10 @@ class Context:
         return None
 
 
-def _entry_closure(module, entry):
-    """``entry`` and every function it transitively calls or spawns, in
+def _main_closure(module):
+    """``main`` and every function it transitively calls or spawns, in
     module order."""
-    seen = {entry} if entry in module.functions else set()
+    seen = {"main"} if "main" in module.functions else set()
     frontier = list(seen)
     while frontier:
         for instr in module.functions[frontier.pop()].instructions():
@@ -730,9 +729,9 @@ class Machine:
         state = State()
         for addr, value in self.ctx.global_layout:
             state.mem_write(addr, value)
-        entry_fn = self.ctx.module.functions.get(self.ctx.entry)
+        entry_fn = self.ctx.module.functions.get("main")
         if entry_fn is None:
-            raise ValueError(f"no entry function @{self.ctx.entry}")
+            raise ValueError("no entry function @main")
         frame = Frame(entry_fn)
         thread = Thread(0, frame)
         state.threads[0] = thread

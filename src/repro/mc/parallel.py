@@ -29,13 +29,10 @@ class CheckTask:
     #: PortingLevel value ("original", "expl", ..., or None to check the
     #: compiled module as-is, without running the porting pipeline).
     level: str = None
-    entry: str = "main"
     max_steps: int = 2500
     max_states: int = 2_000_000
     #: Partial-order-reduction backend ("none"/"sleep"/"dpor").
     por: str = "sleep"
-    #: Macro-stepping ("on"/"off").
-    macro: str = "on"
     #: Optional AtoMigConfig for the porting pipeline.
     config: object = None
     #: Parse ``source`` as IR text instead of Mini-C.
@@ -48,8 +45,7 @@ class CheckTask:
 
         Modules come from the per-worker cache
         (:func:`repro.core.workers.cached_module`): a source checked
-        under several models or re-probed across bisection rounds
-        compiles once per worker.
+        under several models compiles once per worker.
         """
         from repro.api import port_module
         from repro.core.config import PortingLevel
@@ -62,7 +58,7 @@ class CheckTask:
                 module, PortingLevel(self.level), config=self.config
             )
         return check_module(
-            module, model=self.model, entry=self.entry,
+            module, model=self.model,
             max_steps=self.max_steps, max_states=self.max_states,
-            por=self.por, macro=self.macro, robustness=self.robustness,
+            por=self.por, robustness=self.robustness,
         )

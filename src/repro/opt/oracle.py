@@ -6,11 +6,11 @@ against the baseline verdict of the unoptimized module — Manerkar et
 al.'s trailing-sync counterexamples are the cautionary tale for why a
 mapping table is not enough; each relaxation is re-verified.
 
-Four mechanisms keep the oracle cheap enough to sit in a greedy loop:
+Three mechanisms keep the oracle cheap enough to sit in a greedy loop:
 
 - **Verdict caching**: module states are keyed by a BLAKE2 digest of
   their printed IR prefixed with the oracle's configuration (model,
-  entry, bounds), so verdicts can never alias across configurations;
+  bounds), so verdicts can never alias across configurations;
   bisection frequently revisits a configuration (a batch minus its
   rejected half), and a cache hit costs one print instead of one
   exploration.
@@ -26,20 +26,15 @@ Four mechanisms keep the oracle cheap enough to sit in a greedy loop:
   margin``) instead of the caller's full ``max_states`` — a weakening
   that blows up the state space reads as *truncated*, mismatches the
   baseline outcome, and is reverted without exploring millions of
-  states.  The PR-2 reduction machinery (sleep sets, macro-stepping)
-  stays on, so each check only pays for the delta the new orders open.
-- **Parallel probes**: bisection halves are independent variants of
-  the same base module; with ``jobs > 1`` they are printed to IR text
-  and fanned across the :func:`repro.core.workers.run_batch` pool as
-  ``is_ir`` check tasks.
+  states.  The checker's default reduction (sleep sets,
+  macro-stepping) stays on, so each check only pays for the delta the
+  new orders open.
 """
 
 import hashlib
 
-from repro.core.workers import run_batch
 from repro.ir.printer import print_module
 from repro.mc.explorer import check_module
-from repro.mc.parallel import CheckTask
 
 
 class Oracle:
@@ -52,21 +47,11 @@ class Oracle:
     #: otherwise starve legitimate weakenings of budget).
     STATE_FLOOR = 20_000
 
-    def __init__(self, model="wmm", entry="main", max_steps=2500,
-                 max_states=400_000, jobs=1, robustness=True, analyzer=None,
-                 por="sleep", macro="on"):
+    def __init__(self, model="wmm", max_steps=2500, max_states=400_000,
+                 robustness=True, analyzer=None):
         self.model = model
-        self.entry = entry
         self.max_steps = max_steps
         self.max_states = max_states
-        #: POR backend / macro-stepping for every probe.  Deliberately
-        #: *not* part of the verdict cache key: all reduction backends
-        #: are verdict-identical by construction (the DPOR-vs-sleep
-        #: identity property suite and the corpus CI gate check it), so
-        #: keying on them would only split the cache.
-        self.por = por
-        self.macro = macro
-        self.jobs = jobs or 1
         self.robustness = robustness
         self.baseline_outcome = None
         self.baseline_states = 0
@@ -75,7 +60,6 @@ class Oracle:
         self.checks_run = 0
         self.cache_hits = 0
         self.states_total = 0
-        self.parallel_probes = 0
         self.robustness_checks = 0
         self.robustness_hits = 0
         self._verdicts = {}
@@ -127,46 +111,6 @@ class Oracle:
         self._remember(key, result.outcome)
         return result.outcome
 
-    def probe(self, texts):
-        """Outcomes for printed-IR variants, fanned across the pool.
-
-        Used by parallel bisection: the variants are independent, so
-        with ``jobs > 1`` they check concurrently.  Results come from
-        the cache (or the robustness fast path) where possible and are
-        cached afterwards.
-        """
-        keys = [self._digest(text) for text in texts]
-        pending = []
-        for key, text in zip(keys, texts):
-            if key in self._verdicts:
-                self.cache_hits += 1
-            elif self._fastpath_ready() and self._is_robust_text(text):
-                self.robustness_hits += 1
-                self._remember(key, self.baseline_outcome)
-            else:
-                pending.append((key, text))
-        if pending:
-            tasks = [
-                CheckTask(
-                    name="opt-probe", source=text, model=self.model,
-                    level=None, entry=self.entry,
-                    max_steps=self.max_steps, max_states=self.budget,
-                    por=self.por, macro=self.macro, is_ir=True,
-                )
-                for _key, text in pending
-            ]
-            self.parallel_probes += len(tasks)
-            # jobs, not min(jobs, len(tasks)): the pool registry is
-            # keyed by worker count, so a constant count means every
-            # bisection round — whatever its batch size — reuses the
-            # same persistent workers (and their module caches).
-            results = run_batch(tasks, jobs=self.jobs)
-            for (key, _text), result in zip(pending, results):
-                self.checks_run += 1
-                self.states_total += result.states_explored
-                self._remember(key, result.outcome)
-        return [self._verdicts[key] for key in keys]
-
     # -- robustness fast path ----------------------------------------------
 
     def _fastpath_ready(self):
@@ -191,25 +135,13 @@ class Oracle:
             self._analyzer = RobustnessAnalyzer(module, model=self.model)
         return self._analyzer.analyze(max_witnesses=1).robust
 
-    def _is_robust_text(self, text):
-        from repro.analysis.robustness import analyze_robustness
-        from repro.ir.parser import parse_module
-
-        self.robustness_checks += 1
-        if self.model == "sc":
-            return True
-        return analyze_robustness(
-            parse_module(text), model=self.model, max_witnesses=1
-        ).robust
-
     # -- plumbing ----------------------------------------------------------
 
     def _check(self, module, max_states):
         self.checks_run += 1
         result = check_module(
-            module, model=self.model, entry=self.entry,
-            max_steps=self.max_steps, max_states=max_states,
-            por=self.por, macro=self.macro,
+            module, model=self.model, max_steps=self.max_steps,
+            max_states=max_states,
         )
         self.states_total += result.states_explored
         return result
@@ -221,21 +153,14 @@ class Oracle:
         """Cache key: configuration prefix + printed IR.
 
         The prefix keys the verdict on everything that can change it —
-        model, entry point, and exploration bounds — so a shared or
-        on-disk cache can never alias verdicts across configurations.
-        The budget component is the *configured* ``max_states`` ceiling,
-        not the per-call adaptive budget: the adaptive budget is itself
-        a function of (module, config), so including it would only
-        split the cache without adding discrimination.  The reduction
-        knobs (``por``/``macro``) are excluded for the same reason:
-        every backend returns the same verdict by construction, so a
-        verdict probed under sleep sets is equally valid for a DPOR
-        run.
+        model and exploration bounds — so a shared or on-disk cache can
+        never alias verdicts across configurations.  The budget
+        component is the *configured* ``max_states`` ceiling, not the
+        per-call adaptive budget: the adaptive budget is itself a
+        function of (module, config), so including it would only split
+        the cache without adding discrimination.
         """
-        prefix = (
-            f"{self.model}|{self.entry}|{self.max_steps}|"
-            f"{self.max_states}|"
-        )
+        prefix = f"{self.model}|{self.max_steps}|{self.max_states}|"
         return hashlib.blake2b(
             prefix.encode() + text.encode(), digest_size=16
         ).digest()
@@ -245,7 +170,6 @@ class Oracle:
             "checks_run": self.checks_run,
             "cache_hits": self.cache_hits,
             "states_total": self.states_total,
-            "parallel_probes": self.parallel_probes,
             "budget": self.budget,
             "robustness_checks": self.robustness_checks,
             "robustness_hits": self.robustness_hits,

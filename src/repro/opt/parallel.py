@@ -28,7 +28,6 @@ class OptimizeTask:
     #: PortingLevel value to port to before optimizing, or None to
     #: optimize the compiled module as-is.
     level: str = "atomig"
-    entry: str = "main"
     max_steps: int = 2500
     max_states: int = 400_000
     #: Optional AtoMigConfig for the porting pipeline.
@@ -61,7 +60,7 @@ class OptimizeTask:
             )
         cost_model = cost_model_for(self.arch) if self.arch else None
         _optimized, report = optimize_module(
-            module, model=self.model, entry=self.entry,
+            module, model=self.model,
             max_steps=self.max_steps, max_states=self.max_states,
             cost_model=cost_model,
             require_marks=self.require_marks, clone=False,

@@ -39,7 +39,6 @@ class OptimizationReport:
     checks_run: int = 0
     cache_hits: int = 0
     oracle_states: int = 0
-    parallel_probes: int = 0
     #: Robustness fast path: queries answered statically vs. attempted,
     #: exploration states those hits avoided, and whether the baseline
     #: itself was provably robust (the fast path's precondition).
@@ -93,7 +92,6 @@ class OptimizationReport:
             "checks_run": self.checks_run,
             "cache_hits": self.cache_hits,
             "oracle_states": self.oracle_states,
-            "parallel_probes": self.parallel_probes,
             "robustness_checks": self.robustness_checks,
             "robustness_hits": self.robustness_hits,
             "robustness_states_saved": self.robustness_states_saved,

@@ -42,11 +42,10 @@ from repro.opt.report import OptimizationReport
 from repro.vm.costs import CostModel, estimate_cost
 
 
-def optimize_module(module, model="wmm", entry="main", max_steps=2500,
-                    max_states=400_000, jobs=1, cost_model=None,
-                    counts=None, require_marks=True, clone=True,
-                    robustness=True, repair_seed=False, por="sleep",
-                    macro="on"):
+def optimize_module(module, model="wmm", max_steps=2500,
+                    max_states=400_000, cost_model=None, counts=None,
+                    require_marks=True, clone=True, robustness=True,
+                    repair_seed=False):
     """Weaken ``module``'s barriers as far as the oracle certifies.
 
     Returns ``(optimized_module, OptimizationReport)``.  The input
@@ -56,11 +55,10 @@ def optimize_module(module, model="wmm", entry="main", max_steps=2500,
     ``counts`` is an optional ``(function, block, index) -> executed``
     mapping (see ``run_module(record_counts=True)``) that weights the
     candidate order by dynamic execution frequency; without it the
-    static cost model decides.  ``jobs > 1`` fans bisection probes
-    across the :func:`repro.core.workers.run_batch` pool.
-    ``require_marks=False`` also considers SC accesses without porter
-    provenance marks (for hand-written modules).  ``robustness=False``
-    disables the oracle's static fast path (every query explores).
+    static cost model decides.  ``require_marks=False`` also considers
+    SC accesses without porter provenance marks (for hand-written
+    modules).  ``robustness=False`` disables the oracle's static fast
+    path (every query explores).
 
     ``repair_seed=True`` first runs the static fence-repair pass
     (:func:`repro.analysis.repair.repair_module`) on the working module
@@ -79,9 +77,9 @@ def optimize_module(module, model="wmm", entry="main", max_steps=2500,
         dynamic_counts=counts is not None,
     )
 
-    if entry not in work.functions:
+    if "main" not in work.functions:
         report.notes.append(
-            f"no entry function @{entry}; module left unoptimized"
+            "no entry function @main; module left unoptimized"
         )
         report.wall_seconds = time.perf_counter() - started
         return work, report
@@ -101,9 +99,8 @@ def optimize_module(module, model="wmm", entry="main", max_steps=2500,
             report.notes.append(repair_report.summary())
 
     oracle = Oracle(
-        model=model, entry=entry, max_steps=max_steps,
-        max_states=max_states, jobs=jobs, robustness=robustness,
-        analyzer=analyzer, por=por, macro=macro,
+        model=model, max_steps=max_steps, max_states=max_states,
+        robustness=robustness, analyzer=analyzer,
     )
     baseline = oracle.establish(work)
     report.baseline_outcome = baseline.outcome
@@ -111,6 +108,7 @@ def optimize_module(module, model="wmm", entry="main", max_steps=2500,
 
     if baseline.outcome == "truncated":
         report.final_outcome = baseline.outcome
+        report.cost_after = dict(report.cost_before)
         report.notes.append(
             "baseline exploration truncated: the oracle cannot certify "
             "any weakening; module left unoptimized"
@@ -124,7 +122,6 @@ def optimize_module(module, model="wmm", entry="main", max_steps=2500,
     )
     report.candidates = len(candidates)
 
-    optimizer = _GreedyWeakener(work, oracle, jobs=jobs)
     while True:
         active = [
             candidate for candidate in candidates
@@ -137,7 +134,7 @@ def optimize_module(module, model="wmm", entry="main", max_steps=2500,
         # this order, so the big wins settle in the fewest checks.
         active.sort(key=lambda c: (-c.savings(costs), c.position))
         report.rounds += 1
-        optimizer.settle(active)
+        _settle(work, oracle, active)
 
     _finalize(report, work, candidates, costs, counts, oracle)
     report.wall_seconds = time.perf_counter() - started
@@ -145,72 +142,29 @@ def optimize_module(module, model="wmm", entry="main", max_steps=2500,
     return work, report
 
 
-class _GreedyWeakener:
-    """Batched-bisection settlement over one working module."""
+def _settle(module, oracle, candidates):
+    """Certify as many of ``candidates``' proposals as possible.
 
-    def __init__(self, module, oracle, jobs=1):
-        self.module = module
-        self.oracle = oracle
-        self.jobs = jobs or 1
-
-    def settle(self, candidates):
-        """Certify as many of ``candidates``' proposals as possible.
-
-        Returns the number of accepted proposals.  Applies are undone
-        LIFO on rejection, so the module always ends in a state whose
-        verdict the oracle has confirmed (or the untouched base).
-        """
-        if not candidates:
-            return 0
-        undos = [apply_proposal(c) for c in candidates]
-        if self.oracle.matches(self.module):
-            for candidate in candidates:
-                candidate.accept()
-            return len(candidates)
-        for undo in reversed(undos):
-            undo()
-        if len(candidates) == 1:
-            candidates[0].reject()
-            return 0
-        middle = len(candidates) // 2
-        left, right = candidates[:middle], candidates[middle:]
-        if self.jobs > 1:
-            return self._settle_parallel(left, right)
-        return self.settle(left) + self.settle(right)
-
-    def _settle_parallel(self, left, right):
-        """Probe both bisection halves concurrently against this base."""
-        from repro.ir.printer import print_module
-
-        texts = []
-        for half in (left, right):
-            undos = [apply_proposal(c) for c in half]
-            texts.append(print_module(self.module))
-            for undo in reversed(undos):
-                undo()
-        verdicts = self.oracle.probe(texts)
-        baseline = self.oracle.baseline_outcome
-
-        if verdicts[0] == baseline:
-            # Left is certified against the *current* base: commit it
-            # without a re-check.
-            for candidate in left:
-                apply_proposal(candidate)
-                candidate.accept()
-            accepted = len(left)
-        else:
-            accepted = self.settle(left)
-
-        if verdicts[1] == baseline and accepted == 0:
-            # The base did not change, so right's probe verdict still
-            # holds — commit it check-free as well.
-            for candidate in right:
-                apply_proposal(candidate)
-                candidate.accept()
-            return len(right)
-        # Base changed (or right failed outright): settle right on top
-        # of whatever left committed.
-        return accepted + self.settle(right)
+    Batched bisection over the one working ``module``.  Returns the
+    number of accepted proposals.  Applies are undone LIFO on
+    rejection, so the module always ends in a state whose verdict the
+    oracle has confirmed (or the untouched base).
+    """
+    if not candidates:
+        return 0
+    undos = [apply_proposal(c) for c in candidates]
+    if oracle.matches(module):
+        for candidate in candidates:
+            candidate.accept()
+        return len(candidates)
+    for undo in reversed(undos):
+        undo()
+    if len(candidates) == 1:
+        candidates[0].reject()
+        return 0
+    middle = len(candidates) // 2
+    return (_settle(module, oracle, candidates[:middle])
+            + _settle(module, oracle, candidates[middle:]))
 
 
 def _finalize(report, work, candidates, costs, counts, oracle):
@@ -270,7 +224,6 @@ def _fill_counters(report, oracle):
     report.checks_run = counters["checks_run"]
     report.cache_hits = counters["cache_hits"]
     report.oracle_states = counters["states_total"]
-    report.parallel_probes = counters["parallel_probes"]
     report.robustness_checks = counters["robustness_checks"]
     report.robustness_hits = counters["robustness_hits"]
     report.robustness_states_saved = counters["robustness_states_saved"]

@@ -146,8 +146,9 @@ def job_tasks(kind, payload):
     ``check`` onto ``CheckTask`` (one per module and model),
     ``optimize`` and ``repair`` onto ``OptimizeTask`` / ``RepairTask``.
     The daemon calls this at submit, so a malformed payload is an HTTP
-    400, never a ``failed`` job; option *values* (``por``, ``arch``...)
-    are still checked when the job runs.
+    400, never a ``failed`` job.  Of the option *values*, ``por`` is
+    checked here too; the rest (``arch``...) are checked when the job
+    runs.
     """
     from repro.core.config import PortingLevel
 
@@ -173,10 +174,13 @@ def job_tasks(kind, payload):
     # compiled module as-is.
     level = None if level == "original" else level
     if kind == "check":
+        from repro.mc.explorer import PORS
         from repro.mc.parallel import CheckTask
 
         options = _pick(options, ("max_steps", "max_states", "por",
-                                  "macro", "robustness", "entry"))
+                                  "robustness"))
+        if "por" in options:
+            _known("por", options["por"], PORS)
         options.setdefault("robustness", True)
         return [
             CheckTask(name=name, source=source, model=model, level=level,
@@ -189,8 +193,7 @@ def job_tasks(kind, payload):
     if kind == "optimize":
         spec = OptimizeTask
         options = _pick(options, ("max_steps", "max_states", "require_marks",
-                                  "robustness", "repair_seed", "arch",
-                                  "entry"))
+                                  "robustness", "repair_seed", "arch"))
     else:
         spec = RepairTask
         options = _pick(options, ("arch", "verify", "max_steps",

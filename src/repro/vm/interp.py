@@ -109,10 +109,10 @@ class Interpreter:
 
     # -- public ------------------------------------------------------------
 
-    def run(self, entry="main"):
-        entry_fn = self.module.functions.get(entry)
+    def run(self):
+        entry_fn = self.module.functions.get("main")
         if entry_fn is None:
-            raise VMError(f"no entry function @{entry}")
+            raise VMError("no entry function @main")
         main = _Thread(0, _Frame(entry_fn))
         self.threads[0] = main
         self.next_tid = 1
@@ -418,9 +418,8 @@ class Interpreter:
         return 0
 
 
-def run_module(module, entry="main", schedule_seed=0, cost_model=None,
-               quantum=64, max_instructions=200_000_000,
-               record_counts=False):
+def run_module(module, schedule_seed=0, cost_model=None, quantum=64,
+               max_instructions=200_000_000, record_counts=False):
     """Execute ``module`` and return a :class:`RunResult`.
 
     ``record_counts=True`` additionally records per-instruction dynamic
@@ -436,7 +435,7 @@ def run_module(module, entry="main", schedule_seed=0, cost_model=None,
         schedule_seed=schedule_seed,
         record_counts=record_counts,
     )
-    return interp.run(entry=entry)
+    return interp.run()
 
 
 def _rmw(op, old, operand):

@@ -3,6 +3,8 @@
 import os
 from dataclasses import dataclass
 
+import pytest
+
 from repro.core import workers
 from repro.core.workers import (
     WorkerPool,
@@ -13,6 +15,8 @@ from repro.core.workers import (
     shutdown_pools,
     timed_call,
 )
+from repro.errors import IRError
+from repro.opt.parallel import OptimizeTask
 
 SOURCE = """
 int x = 0;
@@ -39,14 +43,21 @@ class TestModuleCache:
     def test_ir_and_c_sources_never_alias(self):
         workers._MEMO.clear()
         cached_module(SOURCE, "m", is_ir=False)
-        keys = set(workers._MEMO)
-        # Same text tagged as IR must get its own cache slot (it would
-        # not even parse, so reaching the compiler proves the miss).
-        try:
+        # Same text tagged as IR must get its own cache slot: it does
+        # not parse as IR, so reaching the parser proves the miss.
+        with pytest.raises(IRError):
             cached_module(SOURCE, "m", is_ir=True)
-        except Exception:
-            pass
-        assert workers._source_key(SOURCE, True) not in keys
+        assert len(workers._MEMO) == 1
+
+    def test_one_source_under_two_names_keeps_both_names(self):
+        workers._MEMO.clear()
+        tasks = [OptimizeTask(name=name, source=SOURCE)
+                 for name in ("left", "right")]
+        reports = run_batch(tasks)
+        assert [report["module"] for report in reports] == [
+            "left.atomig", "right.atomig"
+        ]
+        workers._MEMO.clear()
 
     def test_memo_is_bounded(self):
         workers._MEMO.clear()

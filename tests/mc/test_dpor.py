@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import compile_source, port_module
 from repro.core.config import PortingLevel
-from repro.mc.explorer import ExplorationStats, check_module
+from repro.mc.explorer import PORS, ExplorationStats, check_module
 from repro.mc.litmus import LITMUS_TESTS
 
 BOUNDS = dict(max_steps=600, max_states=400_000)
@@ -153,10 +153,8 @@ def test_dpor_reverses_races_behind_an_rmw_reservation(main_unlock,
         f"cas_lock_{main_unlock}_{thread_unlock}",
     )
     outcomes = {
-        (por, macro): _outcome(check_module(module, model="wmm", por=por,
-                                            macro=macro, **BOUNDS))
-        for por, macro in (("none", "off"), ("sleep", "on"),
-                           ("dpor", "on"), ("dpor", "off"))
+        por: _outcome(check_module(module, model="wmm", por=por, **BOUNDS))
+        for por in PORS
     }
     expected = ("violation" if "relaxed" in (main_unlock, thread_unlock)
                 else "ok")
@@ -201,10 +199,8 @@ def test_dpor_explores_the_order_a_reservation_disables():
     """
     module = compile_source(LOCK_TWICE, "lock_twice")
     outcomes = {
-        (por, macro): _outcome(check_module(module, model="wmm", por=por,
-                                            macro=macro, **BOUNDS))
-        for por, macro in (("none", "off"), ("sleep", "on"),
-                           ("dpor", "on"), ("dpor", "off"))
+        por: _outcome(check_module(module, model="wmm", por=por, **BOUNDS))
+        for por in PORS
     }
     assert set(outcomes.values()) == {"violation"}, outcomes
 
@@ -223,23 +219,22 @@ def test_dpor_counters_populated():
 
 
 def test_resolve_reduction_defaults():
-    """check_module defaults to sleep sets with macro-stepping on."""
+    """check_module defaults to sleep sets (with macro-stepping)."""
     source, _expected = LITMUS_TESTS["SB"]
     module = compile_source(source, "litmus_SB")
     default = check_module(module, model="wmm", **BOUNDS)
-    explicit = check_module(module, model="wmm", por="sleep", macro="on",
-                            **BOUNDS)
-    assert (default.stats.por, default.stats.macro) == ("sleep", "on")
+    explicit = check_module(module, model="wmm", por="sleep", **BOUNDS)
+    assert default.stats.por == "sleep"
+    assert default.stats.macro_steps > 0
     assert default.states_explored == explicit.states_explored
     assert default.stats.transitions == explicit.stats.transitions
 
 
 def test_resolve_reduction_rejects_unknown():
     module = compile_source(LITMUS_TESTS["SB"][0], "litmus_SB")
-    for knobs in ({"por": "bogus"}, {"macro": "sometimes"},
-                  {"macro": True}):
+    for por in ("bogus", "", None, True):
         with pytest.raises(ValueError):
-            check_module(module, **knobs)
+            check_module(module, por=por)
 
 
 # -- stats schema / provenance ----------------------------------------------
@@ -250,14 +245,13 @@ def test_stats_json_schema_and_provenance():
     module = compile_source(source, "litmus_MP")
     result = check_module(module, model="wmm", por="dpor", **BOUNDS)
     payload = json.loads(result.stats.to_json())
-    assert payload["schema"] == ExplorationStats.SCHEMA == 3
+    assert payload["schema"] == ExplorationStats.SCHEMA == 4
     assert payload["por"] == "dpor"
-    assert payload["macro"] == "on"
-    assert "engine" not in payload
+    assert "engine" not in payload and "macro" not in payload
     for key in ("races_detected", "backtrack_points",
                 "wakeup_reexplorations", "equivalence_classes"):
         assert key in payload
-    assert str(result.stats).startswith("[dpor/macro=on] ")
+    assert str(result.stats).startswith("[dpor] ")
 
 
 def test_format_exploration_stats_shows_dpor_rows():
@@ -285,17 +279,6 @@ def test_check_task_carries_por():
     result = task.run()
     assert result.ok == expected["wmm"]
     assert result.stats.por == "dpor"
-
-
-def test_oracle_cache_key_ignores_por():
-    """A verdict probed under one backend serves every backend."""
-    from repro.opt.oracle import Oracle
-
-    sleep = Oracle(model="wmm", por="sleep")
-    dpor = Oracle(model="wmm", por="dpor")
-    none = Oracle(model="wmm", por="none", macro="off")
-    text = "@main { entry0: ret 0 }"
-    assert sleep._digest(text) == dpor._digest(text) == none._digest(text)
 
 
 def test_api_check_module_accepts_por():

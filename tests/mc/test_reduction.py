@@ -3,7 +3,7 @@
 The partial-order reduction (sleep sets + macro-stepping + self-loop
 pruning, DESIGN.md §4b) must never change a verdict: for every litmus
 test and corpus program, the default reduced backend and the unreduced
-oracle (``por="none", macro="off"``) must agree on ``ok``/``outcome`` —
+oracle (``por="none"``) must agree on ``ok``/``outcome`` —
 while exploring strictly fewer states on the programs with real
 scheduling redundancy.
 """
@@ -19,7 +19,7 @@ from repro.mc.litmus import LITMUS_TESTS
 
 BOUNDS = dict(max_steps=600, max_states=400_000)
 #: The unreduced oracle's knobs.
-UNREDUCED = dict(por="none", macro="off")
+UNREDUCED = dict(por="none")
 
 
 def _knobs(reduce):

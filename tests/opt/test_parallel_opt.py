@@ -1,10 +1,6 @@
 """Tests for the batch optimize harness (Table 9's engine)."""
 
-import pytest
-
-from repro.api import compile_source, optimize_module, port_module
 from repro.bench.corpus import BENCHMARKS
-from repro.core.config import PortingLevel
 from repro.core.workers import run_batch
 from repro.opt.parallel import OptimizeTask
 
@@ -39,18 +35,3 @@ def test_parallel_batch_matches_sequential():
         assert par["verdict_preserved"]
         assert par["barrier_cost_after"] == seq["barrier_cost_after"]
         assert par["weakened"] == seq["weakened"]
-
-
-@pytest.mark.parametrize("name", ("ck_ring", "treiber_stack"))
-def test_parallel_probes_match_serial_on_double_inlined_ports(name):
-    """Parallel probes ship printed IR to the pool.  These ports inline
-    one callee twice into a caller, so the IR only parses back when each
-    copy's blocks carry their own labels."""
-    module = compile_source(BENCHMARKS[name].mc_source(), name)
-    ported, _report = port_module(module, PortingLevel.ATOMIG)
-    _serial_module, serial = optimize_module(ported, jobs=1)
-    _parallel_module, parallel = optimize_module(ported, jobs=2)
-    assert parallel.verdict_preserved
-    assert parallel.weakened == serial.weakened
-    assert parallel.frozen == serial.frozen
-    assert parallel.cost_after == serial.cost_after

@@ -170,8 +170,7 @@ def test_cas_lock_random_orders_identity(cas_main, cas_worker, unlock_main,
                              again_main=again_main,
                              again_worker=again_worker)
     module = compile_source(source, "cas_lock")
-    full = check_module(module, model=model, por="none", macro="off",
-                        **BOUNDS)
+    full = check_module(module, model=model, por="none", **BOUNDS)
     sleep = check_module(module, model=model, por="sleep", **BOUNDS)
     dpor = check_module(module, model=model, por="dpor", **BOUNDS)
     assert _signature(full) == _signature(sleep) == _signature(dpor)
@@ -260,7 +259,6 @@ def test_dpor_matches_unreduced_enumeration(name, model):
     comparison: the enumerator dedups across branches, which stateless
     DPOR deliberately cannot, so neither count bounds the other.)"""
     module = _litmus_module(name)
-    full = check_module(module, model=model, por="none", macro="off",
-                        **BOUNDS)
+    full = check_module(module, model=model, por="none", **BOUNDS)
     dpor = check_module(module, model=model, por="dpor", **BOUNDS)
     assert _signature(full) == _signature(dpor)

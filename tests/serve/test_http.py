@@ -133,6 +133,10 @@ def test_bad_requests_are_400(client):
         ("optimize", "model", {"model": "arm"}),
         ("check", "models", {"models": ["arm"]}),
         ("check", "models", {"models": "wmm"}),
+        ("check", "por", {"options": {"por": "bogus"}}),
+        ("check", "macro", {"options": {"macro": "off"}}),
+        ("check", "entry", {"options": {"entry": "main"}}),
+        ("optimize", "entry", {"options": {"entry": "main"}}),
     ):
         status, payload = client.request("POST", "/jobs", body={
             "kind": kind, "modules": [module], **bad,
