@@ -81,6 +81,3 @@ class ThreadEscapeAnalysis:
         return bool(targets) and all(
             obj not in self.shared for obj in targets
         )
-
-    def thread_local_objects(self):
-        return [obj for obj in self.pointsto.objects if obj not in self.shared]

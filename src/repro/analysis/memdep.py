@@ -18,21 +18,7 @@ class MemoryDependence:
     def __init__(self, function):
         self.function = function
         self._preds = predecessors(function)
-        self._stores_by_alloca = self._index_stores()
         self._cache = {}
-
-    def _index_stores(self):
-        index = {}
-        for instr in self.function.instructions():
-            if isinstance(instr, ins.Store):
-                root = pointer_root(instr.pointer)
-                if isinstance(root, ins.Alloca):
-                    index.setdefault(root, []).append(instr)
-        return index
-
-    def stores_to(self, alloca):
-        """All stores in the function whose pointer is rooted at ``alloca``."""
-        return list(self._stores_by_alloca.get(alloca, ()))
 
     def reaching_stores(self, load, region):
         """In-region stores to the load's alloca that may reach ``load``.

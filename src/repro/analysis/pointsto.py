@@ -430,7 +430,3 @@ class PointsToKeyProvider(LocationKeyProvider):
             return None, "none"
         origin = "pts_global" if key[0] == "global" else "pts_class"
         return key, origin
-
-    def aliased_objects(self, pointer):
-        """Abstract objects a pointer may target (for reports/pruning)."""
-        return self.pointsto.points_to(pointer)

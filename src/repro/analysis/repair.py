@@ -41,7 +41,7 @@ additionally close other pairs' open paths (a fence drains everything
 crossing it) — that bonus is not modeled, only rediscovered by the
 fixed-point loop, which re-enumerates and re-solves until the analyzer
 reports no culprits (one round suffices in practice because endpoint
-coverage is exact; ``max_rounds`` is a safety net).
+coverage is exact; :data:`MAX_ROUNDS` is a safety net).
 
 Soundness: every action only *restricts* executions (fences and
 stronger orders are inert under SC), so the SC verdict is unchanged;
@@ -72,6 +72,9 @@ REPAIR_MARK = "repair"
 EXACT_MAX_PAIRS = 20
 EXACT_MAX_ACTIONS = 24
 EXACT_NODE_BUDGET = 200_000
+
+#: Enumerate-and-cover rounds before repair gives up on a fixed point.
+MAX_ROUNDS = 4
 
 
 class _Action:
@@ -742,10 +745,8 @@ def _branch_and_bound(n_pairs, actions, incumbent):
 
 
 def repair_module(module, model="wmm", arch=None, cost_model=None,
-                  clone=True, max_cycles_per_pair=4, max_total_cycles=64,
-                  max_rounds=4, verify=False, max_steps=2500,
-                  max_states=400_000, analyzer=None, cache=None,
-                  name_heuristic=True):
+                  clone=True, verify=False, max_steps=2500,
+                  max_states=400_000, analyzer=None):
     """Statically repair ``module`` to robustness under ``model``.
 
     Returns ``(repaired_module, RepairReport)``.  ``arch`` names the
@@ -769,20 +770,14 @@ def repair_module(module, model="wmm", arch=None, cost_model=None,
     if analyzer is not None and analyzer.module is not module:
         analyzer = None
     if analyzer is None:
-        analyzer = RobustnessAnalyzer(
-            module, model=model, cache=cache,
-            name_heuristic=name_heuristic,
-        )
+        analyzer = RobustnessAnalyzer(module, model=model)
     report = RepairReport(
         module_name=module.name, model=model, arch=cost_model.name,
     )
     report.cost_before = estimate_cost(module, cost_model).to_dict()
 
-    for _round in range(max_rounds):
-        enum = analyzer.enumerate_critical_cycles(
-            max_cycles_per_pair=max_cycles_per_pair,
-            max_total=max_total_cycles,
-        )
+    for _round in range(MAX_ROUNDS):
+        enum = analyzer.enumerate_critical_cycles()
         if enum.bounded:
             report.bounded = True
         if not enum.culprits:
@@ -829,7 +824,7 @@ def repair_module(module, model="wmm", arch=None, cost_model=None,
         })
     else:
         report.notes.append(
-            f"fixed point not reached within {max_rounds} rounds"
+            f"fixed point not reached within {MAX_ROUNDS} rounds"
         )
     if report.rounds and not report.robust_after:
         # The loop broke out of enumeration without confirming: one

@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.races import (
     AccessClass,
+    _live_functions,
     _thread_contexts,
     classify_module,
 )
@@ -66,6 +67,14 @@ from repro.ir import instructions as ins
 #: witnesses gained deterministic ordering and results gained this
 #: field.
 ROBUSTNESS_SCHEMA_VERSION = 4
+
+#: Bounds of :meth:`RobustnessAnalyzer.enumerate_critical_cycles`:
+#: distinct cycles kept per delayable pair and overall, conflict edges
+#: per cycle, and node expansions per pair.
+CYCLES_PER_PAIR = 4
+MAX_CYCLES = 64
+MAX_CYCLE_EDGES = 5
+PAIR_BUDGET = 4000
 
 #: Key classes whose same-key accesses may genuinely conflict.
 _CONFLICT_CAPABLE = (
@@ -543,19 +552,19 @@ class RobustnessAnalyzer:
             for a, b in self._sorted_delayable(open_pairs)
         ]
 
-    def enumerate_critical_cycles(self, max_cycles_per_pair=4,
-                                  max_total=64, max_len=5, budget=4000):
+    def enumerate_critical_cycles(self):
         """Bounded enumeration of *all* critical cycles (repair input).
 
         For each delayable pair (in location-key order) a depth-first
         search over the alternating conflict/po meta-graph collects up
-        to ``max_cycles_per_pair`` distinct cycles, capped at
-        ``max_total`` cycles overall, ``max_len`` conflict edges per
-        cycle and ``budget`` node expansions per pair.  Every culprit
-        pair contributes at least one cycle (falling back to the
-        unbounded single-cycle BFS when the bounded search starves), so
-        culprit membership is exact even when ``bounded`` reports that
-        the cycle *list* may be incomplete.
+        to :data:`CYCLES_PER_PAIR` distinct cycles, capped at
+        :data:`MAX_CYCLES` cycles overall, :data:`MAX_CYCLE_EDGES`
+        conflict edges per cycle and :data:`PAIR_BUDGET` node
+        expansions per pair.  Every culprit pair contributes at least
+        one cycle (falling back to the unbounded single-cycle BFS when
+        the bounded search starves), so culprit membership is exact
+        even when ``bounded`` reports that the cycle *list* may be
+        incomplete.
         """
         enum = CycleEnumeration(model=self.model)
         if self.model == "sc":
@@ -568,13 +577,12 @@ class RobustnessAnalyzer:
         enum.delayable = self._sorted_delayable(open_pairs)
         enum.nodes = self._cycle_nodes
         for a, b in enum.delayable:
-            room = max_total - len(enum.cycles)
+            room = MAX_CYCLES - len(enum.cycles)
             if room <= 0:
                 enum.bounded = True
-            limit = max(1, min(max_cycles_per_pair, room))
+            limit = max(1, min(CYCLES_PER_PAIR, room))
             witnesses, truncated = self._find_cycles(
                 a, b, po_edges, conflicts, limit=limit,
-                max_len=max_len, budget=budget,
             )
             if truncated:
                 enum.bounded = True
@@ -593,8 +601,7 @@ class RobustnessAnalyzer:
                     ))
         return enum
 
-    def _find_cycles(self, a, b, po_edges, conflicts, limit, max_len=5,
-                     budget=4000):
+    def _find_cycles(self, a, b, po_edges, conflicts, limit):
         """Up to ``limit`` distinct critical cycles closing a ->po b.
 
         Same meta-graph as :meth:`_find_cycle`, explored depth-first
@@ -627,7 +634,8 @@ class RobustnessAnalyzer:
                 state["truncated"] = True
                 return
             state["expansions"] += 1
-            if state["expansions"] > budget or depth >= max_len:
+            if (state["expansions"] > PAIR_BUDGET
+                    or depth >= MAX_CYCLE_EDGES):
                 state["truncated"] = True
                 return
             for w in sorted(conflicts.get(u, ())):
@@ -711,7 +719,7 @@ class RobustnessAnalyzer:
 
         follows = set()
         open_pairs = set()
-        live = _live_function_names(self.module, self._callgraph)
+        live = _live_functions(self.module, self._callgraph)
         for name in order:
             if name not in live:
                 continue
@@ -1009,12 +1017,6 @@ def _distinct_instances(function_a, function_b, contexts):
     if roots_a != roots_b or len(roots_a) >= 2:
         return True
     return any(multiplicity.get(root, 0) >= 2 for root in roots_a)
-
-
-def _live_function_names(module, callgraph):
-    from repro.analysis.races import _live_functions
-
-    return _live_functions(module, callgraph)
 
 
 def _instruction_positions(module):

@@ -65,12 +65,10 @@ def _add_level_arg(parser):
 
 
 def _build_config(args):
-    check_robustness = getattr(args, "check_robustness", False)
     repair = getattr(args, "repair", False)
     if not (args.polling or args.barrier_seeds or args.strict_spinloops
             or args.no_inline or args.no_alias or args.prune_protected
-            or check_robustness or repair
-            or args.alias_mode != "type_based"):
+            or repair or args.alias_mode != "type_based"):
         return None
     return AtoMigConfig(
         detect_polling_loops=args.polling,
@@ -79,7 +77,6 @@ def _build_config(args):
         inline_before_analysis=not args.no_inline,
         alias_exploration=not args.no_alias,
         prune_protected=args.prune_protected,
-        check_robustness=check_robustness,
         repair_mode=repair,
         repair_model=getattr(args, "repair_model", "wmm"),
         repair_arch=getattr(args, "repair_arch", "armv8"),
@@ -101,10 +98,6 @@ def _add_config_args(parser):
     parser.add_argument("--prune-protected", action="store_true",
                         help="exempt lint-proven lock-protected accesses "
                              "from atomization")
-    parser.add_argument("--check-robustness", action="store_true",
-                        help="after porting, attach the static "
-                             "Shasha-Snir robustness classification to "
-                             "the report")
     parser.add_argument("--repair", action="store_true",
                         help="after porting, statically repair any "
                              "remaining non-robustness with a min-cost "

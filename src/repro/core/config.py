@@ -75,12 +75,6 @@ class AtoMigConfig:
     #: SC promotion is pure overhead.  Off by default to match the
     #: paper's evaluated configuration.
     prune_protected: bool = False
-    #: After porting, run the static Shasha-Snir robustness analysis
-    #: on the result and attach the classification to the report
-    #: (``report.robustness``).  A robust port provably needs no
-    #: model checking: its WMM verdict equals its SC verdict.  Off by
-    #: default — ``atomig check`` runs the same pre-pass on demand.
-    check_robustness: bool = False
     #: After porting, statically repair any remaining non-robustness:
     #: enumerate critical cycles and break every one with a min-cost set
     #: of fence insertions / order strengthenings

@@ -114,23 +114,6 @@ def run_porting(module, level=PortingLevel.ATOMIG, config=None,
             count_barriers(ported)
         )
 
-    if config.check_robustness:
-        from repro.analysis.robustness import analyze_robustness
-
-        with stats.stage("robustness"):
-            robust = analyze_robustness(ported)
-        report.robustness = robust.to_dict()
-        if robust.robust:
-            report.notes.append(
-                "robustness: statically robust under wmm — verdict "
-                "equals the SC verdict, no model checking needed"
-            )
-        else:
-            report.notes.append(
-                f"robustness: potentially non-robust under wmm "
-                f"({robust.delayable_pairs} delayable pairs)"
-            )
-
     if optimize:
         from repro.opt import optimize_module  # lazy: opt pulls in mc
 

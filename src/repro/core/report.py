@@ -8,7 +8,8 @@ explicit barriers (fences) before and after porting.
 from dataclasses import dataclass, field
 
 from repro.core.profile import PipelineStats
-from repro.ir.instructions import AtomicRMW, Cmpxchg, Fence, Load, Store
+from repro.ir.instructions import Fence
+from repro.vm.costs import is_barrier
 
 
 @dataclass
@@ -62,10 +63,6 @@ class PortingReport:
     #: Barrier-weakening results when the port ran with ``optimize``
     #: (a :class:`repro.opt.report.OptimizationReport` dict), else {}.
     optimization: dict = field(default_factory=dict)
-    #: Static robustness classification of the ported module when the
-    #: config enables ``check_robustness`` (a
-    #: :class:`repro.analysis.robustness.RobustnessResult` dict), else {}.
-    robustness: dict = field(default_factory=dict)
     #: Static fence-repair results when the config enables
     #: ``repair_mode`` (a :class:`repro.analysis.repair.RepairReport`
     #: dict), else {}.
@@ -118,7 +115,6 @@ class PortingReport:
             "porting_seconds": self.porting_seconds,
             "stats": self.stats.to_dict(),
             "optimization": dict(self.optimization),
-            "robustness": dict(self.robustness),
             "repair": dict(self.repair),
             "notes": list(self.notes),
         }
@@ -291,18 +287,16 @@ def format_exploration_stats(stats):
 def count_barriers(module):
     """Count (explicit, implicit) barriers in ``module``.
 
-    Explicit barriers are stand-alone fences; implicit barriers are
-    atomic memory accesses (loads, stores and RMWs with any atomic
-    order), matching the paper's BExpl / BImpl columns.
+    Barriers are what :func:`repro.vm.costs.is_barrier` says they are;
+    the stand-alone fences among them are explicit and the atomic
+    accesses implicit, matching the paper's BExpl / BImpl columns.
     """
     explicit = 0
     implicit = 0
     for instr in module.instructions():
-        if isinstance(instr, Fence):
-            explicit += 1
-        elif isinstance(instr, (Load, Store)):
-            if instr.order.is_atomic:
+        if is_barrier(instr):
+            if isinstance(instr, Fence):
+                explicit += 1
+            else:
                 implicit += 1
-        elif isinstance(instr, (AtomicRMW, Cmpxchg)):
-            implicit += 1
     return explicit, implicit

@@ -7,83 +7,26 @@ Every batch in the repo — the table harnesses, ``atomig check
 :class:`repro.opt.parallel.OptimizeTask`,
 :class:`repro.opt.parallel.RepairTask`).  Each spec is picklable and
 carries its own ``run()``; :func:`run_batch` runs a list of them
-in-process or on a pool.  Three mechanisms keep the pools cheap:
+in-process or on a pool.  Two mechanisms keep the pools cheap:
 
 - **Persistent pools.**  :func:`get_pool` keeps one pool per worker
   count alive for the whole process (closed via ``atexit``), so a
   daemon or table run that submits many batches forks exactly once.
-- **Worker-side module caches.**  :func:`cached_module` memoizes
-  compiled/parsed modules inside each worker (and in the in-process
-  path), keyed like :mod:`repro.modcache` on the source text and the
-  module name, so a sweep that checks the same program under
-  ``sc``/``tso``/``wmm`` compiles it once per worker, and two modules
-  with one source keep their own names.  Cache hits hand out
-  ``Module.clone()`` copies — the porting pipeline may mutate its
-  input, so the cached master is never exposed.
-- **Interned location keys + per-worker timing.**  Caching interns the
-  module's global/function name strings (the location keys every
-  report row repeats), and every task runs through a timing wrapper;
+- **Per-worker timing.**  Every task runs through a timing wrapper;
   :attr:`WorkerPool.worker_stats` maps worker pid to cumulative busy
   seconds and task count, making pool skew visible to the perf
   harnesses (``BENCH_port.json``).
+
+Specs compile their own modules: Mini-C through
+:func:`repro.api.compile_source`, whose frontend cache
+(:mod:`repro.modcache`, on with ``ATOMIG_FRONTEND_CACHE=1``) is the
+one module cache; IR text through :func:`repro.ir.parser.parse_module`.
 """
 
 import atexit
 import os
-import sys
 import time
 from functools import partial
-
-from repro import modcache
-
-# -- worker-side state (one copy per worker process) ------------------------
-
-#: Compiled modules by (is_ir, source digest).  Bounded: a long-lived
-#: daemon worker streams every submitted source through it, and
-#: caching them all would only grow memory.
-_MEMO = {}
-_MEMO_LIMIT = 128
-
-
-def _compile(source, name, is_ir):
-    if is_ir:
-        from repro.ir.parser import parse_module
-
-        return parse_module(source)
-    from repro.api import compile_source
-
-    return compile_source(source, name)
-
-
-def _intern_location_keys(module):
-    """Intern the name strings repeated in every result row.
-
-    Global and function names are the "location keys" that reports,
-    access sets and barrier tables key on; interning them once per
-    worker makes every later comparison a pointer check and dedups the
-    copies a pickled result would otherwise carry.
-    """
-    for name in list(module.globals):
-        sys.intern(name)
-    for name in list(module.functions):
-        sys.intern(name)
-
-
-def cached_module(source, name, is_ir=False):
-    """A private module for ``source``: cloned from this worker's cache.
-
-    Misses compile (or parse) and memoize; hits return
-    ``Module.clone()`` so callers may mutate freely.
-    """
-    key = (is_ir, modcache.source_digest(source, name))
-    master = _MEMO.get(key)
-    if master is None:
-        master = _compile(source, name, is_ir)
-        _intern_location_keys(master)
-        if len(_MEMO) >= _MEMO_LIMIT:
-            _MEMO.clear()
-        _MEMO[key] = master
-    return master.clone()
 
 
 def timed_call(worker, task):
@@ -172,8 +115,7 @@ def run_batch(tasks, jobs=None):
     ``jobs=None`` or ``jobs<=1`` (or a single task) runs them
     in-process, the deterministic default.  Larger values use the
     persistent pool for that worker count; callers keep ``jobs``
-    constant so every batch reuses the same workers and their module
-    caches.
+    constant so every batch reuses the same workers.
     """
     tasks = list(tasks)
     if jobs is None or jobs <= 1 or len(tasks) <= 1:

@@ -50,7 +50,3 @@ class AssertionFailure(VMError):
     def __init__(self, message, thread_id=None):
         self.thread_id = thread_id
         super().__init__(message)
-
-
-class ModelCheckError(ReproError):
-    """The model checker could not complete exploration."""

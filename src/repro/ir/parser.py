@@ -50,15 +50,6 @@ class IRParser:
                 return line
         return None
 
-    def _peek_line(self):
-        index = self.index
-        while index < len(self.lines):
-            line = self.lines[index]
-            if line.strip():
-                return line
-            index += 1
-        return None
-
     # -- types ---------------------------------------------------------------
 
     def parse_type(self, text):

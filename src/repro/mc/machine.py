@@ -26,13 +26,13 @@ carry a memoized encoding hash (``Thread._enc``) invalidated via
 ``undo.touch`` exactly when their content changes.
 """
 
-import operator
 from bisect import bisect_right
 
 from repro.analysis.liveness import liveness_tables
 from repro.analysis.nonlocal_ import NonLocalInfo
 from repro.ir import instructions as ins
 from repro.ir.instructions import MemoryOrder
+from repro.ir.semantics import BINOP_FUNCTIONS, RMW_FUNCTIONS
 from repro.ir.values import Argument, Constant, GlobalVar
 from repro.mc.encode import Interner, cell_hash, entry_code
 from repro.mc.undo import (
@@ -1360,10 +1360,13 @@ class Machine:
         right = self._value(frame, instr.right)
         if type(left) is tuple or type(right) is tuple:
             return _BLOCKED
-        function = _BINOP_FUNCTIONS.get(instr.op)
+        function = BINOP_FUNCTIONS.get(instr.op)
         if function is None:
             raise ExecutionError(f"unknown binop {instr.op!r}")
-        return function(left, right)
+        try:
+            return function(left, right)
+        except ZeroDivisionError as error:
+            raise ExecutionError(str(error)) from None
 
     # -- control -------------------------------------------------------------------------
 
@@ -1575,55 +1578,7 @@ _HANDLERS = {
 
 
 def _rmw_compute(op, old, operand):
-    if op == "add":
-        return old + operand
-    if op == "sub":
-        return old - operand
-    if op == "or":
-        return old | operand
-    if op == "and":
-        return old & operand
-    if op == "xor":
-        return old ^ operand
-    if op == "xchg":
-        return operand
-    raise ExecutionError(f"unknown rmw op {op!r}")
-
-
-def _divide(left, right):
-    """C division: truncates toward zero."""
-    if right == 0:
-        raise ExecutionError("division by zero")
-    quotient = abs(left) // abs(right)
-    return -quotient if (left < 0) != (right < 0) else quotient
-
-
-def _modulo(left, right):
-    """C remainder: takes the sign of the dividend."""
-    if right == 0:
-        raise ExecutionError("modulo by zero")
-    quotient = abs(left) // abs(right)
-    quotient = -quotient if (left < 0) != (right < 0) else quotient
-    return left - right * quotient
-
-
-# BinOp operators.  Comparisons yield the ints 1/0, never bools: a
-# bool would encode differently from the equal int in the state digest.
-_BINOP_FUNCTIONS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _divide,
-    "%": _modulo,
-    "&": operator.and_,
-    "|": operator.or_,
-    "^": operator.xor,
-    "<<": lambda left, right: left << (right & 63),
-    ">>": lambda left, right: left >> (right & 63),
-    "==": lambda left, right: 1 if left == right else 0,
-    "!=": lambda left, right: 1 if left != right else 0,
-    "<": lambda left, right: 1 if left < right else 0,
-    ">": lambda left, right: 1 if left > right else 0,
-    "<=": lambda left, right: 1 if left <= right else 0,
-    ">=": lambda left, right: 1 if left >= right else 0,
-}
+    function = RMW_FUNCTIONS.get(op)
+    if function is None:
+        raise ExecutionError(f"unknown rmw op {op!r}")
+    return function(old, operand)

@@ -27,9 +27,6 @@ class MemoryModel:
     def rmw_requires_drain(self):
         return True
 
-    def fence_requires_drain(self):
-        return True
-
     def store_requires_drain(self, order):
         return False
 

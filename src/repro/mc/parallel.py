@@ -43,16 +43,19 @@ class CheckTask:
     def run(self):
         """Compile, port and check; returns the ``CheckResult``.
 
-        Modules come from the per-worker cache
-        (:func:`repro.core.workers.cached_module`): a source checked
-        under several models compiles once per worker.
+        Mini-C compiles through :func:`repro.api.compile_source`, so
+        with the frontend cache on a source checked under several
+        models compiles once.
         """
-        from repro.api import port_module
+        from repro.api import compile_source, port_module
         from repro.core.config import PortingLevel
-        from repro.core.workers import cached_module
+        from repro.ir.parser import parse_module
         from repro.mc.explorer import check_module
 
-        module = cached_module(self.source, self.name, is_ir=self.is_ir)
+        if self.is_ir:
+            module = parse_module(self.source)
+        else:
+            module = compile_source(self.source, self.name)
         if self.level is not None:
             module, _report = port_module(
                 module, PortingLevel(self.level), config=self.config

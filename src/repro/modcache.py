@@ -21,18 +21,24 @@ Invalidation rules:
 Callers always get a *fresh* module object: the in-memory layer keeps
 the pickled bytes, not the module, and every hit re-unpickles.  The
 pipeline mutates modules in place (inlining, atomization), so handing
-out a shared instance would poison later hits.
+out a shared instance would poison later hits.  This is the only module
+cache in the repo: every task spec (:mod:`repro.core.workers`) and the
+CLI compile through :func:`repro.api.compile_source`, so a daemon with
+the cache on answers a repeated source from here.
 
 The cache is off unless explicitly enabled — pass ``cache=True`` or
 set ``ATOMIG_FRONTEND_CACHE=1``; ``ATOMIG_CACHE_DIR`` overrides the
 default ``~/.cache/atomig`` directory.  Timing benchmarks that want
 honest build times must leave it off.
 
-``ATOMIG_CACHE_MAX_MB`` bounds the on-disk size: after every store the
-oldest entries by mtime are evicted (LRU — disk hits refresh mtime)
-until the directory fits.  Unset means unbounded, which is fine for
-one-shot CLI runs but turns into a leak under a long-lived daemon
-(:mod:`repro.serve`), so the serve quickstart sets it.
+``ATOMIG_CACHE_MAX_MB`` bounds both layers, each on its own: after
+every store the oldest entries by mtime are evicted from disk (LRU —
+disk hits refresh mtime) until the directory fits, and the in-memory
+layer drops its least recently used entries until its bytes fit.
+Unset means unbounded, which is fine for one-shot CLI runs but turns
+into a leak under a long-lived daemon (:mod:`repro.serve`), so the
+serve quickstart sets it.  The memory layer is shared by the daemon's
+worker threads and guarded by one lock.
 """
 
 import hashlib
@@ -40,6 +46,8 @@ import os
 import pickle
 import sys
 import tempfile
+import threading
+from collections import OrderedDict
 
 #: Bump when compiled-module layout changes (new IR fields, frontend
 #: passes, lowering differences) to invalidate stale entries.
@@ -49,8 +57,12 @@ _ENV_ENABLE = "ATOMIG_FRONTEND_CACHE"
 _ENV_DIR = "ATOMIG_CACHE_DIR"
 _ENV_MAX_MB = "ATOMIG_CACHE_MAX_MB"
 
-#: digest -> pickled module bytes (per-process layer over the disk).
-_memory = {}
+#: digest -> pickled module bytes (per-process layer over the disk),
+#: least recently used first.
+_memory = OrderedDict()
+#: Total size of the values in :data:`_memory`.
+_memory_bytes = 0
+_memory_lock = threading.Lock()
 
 
 def cache_enabled():
@@ -79,7 +91,41 @@ def source_digest(source, name="module"):
 
 def clear_memory_cache():
     """Drop the per-process layer (tests; bounded-memory callers)."""
-    _memory.clear()
+    global _memory_bytes
+    with _memory_lock:
+        _memory.clear()
+        _memory_bytes = 0
+
+
+def _memory_get(digest):
+    with _memory_lock:
+        blob = _memory.get(digest)
+        if blob is not None:
+            _memory.move_to_end(digest)
+        return blob
+
+
+def _memory_put(digest, blob):
+    """Remember ``blob``, then drop LRU entries past the size limit."""
+    global _memory_bytes
+    max_bytes = cache_max_bytes()
+    with _memory_lock:
+        old = _memory.pop(digest, None)
+        if old is not None:
+            _memory_bytes -= len(old)
+        _memory[digest] = blob
+        _memory_bytes += len(blob)
+        while max_bytes is not None and _memory_bytes > max_bytes:
+            _evicted, dropped = _memory.popitem(last=False)
+            _memory_bytes -= len(dropped)
+
+
+def _memory_forget(digest):
+    global _memory_bytes
+    with _memory_lock:
+        blob = _memory.pop(digest, None)
+        if blob is not None:
+            _memory_bytes -= len(blob)
 
 
 def _entry_path(digest):
@@ -88,14 +134,14 @@ def _entry_path(digest):
 
 def load(digest):
     """Fresh module for ``digest`` or ``None`` on miss/corruption."""
-    blob = _memory.get(digest)
+    blob = _memory_get(digest)
     if blob is None:
         try:
             with open(_entry_path(digest), "rb") as handle:
                 blob = handle.read()
         except OSError:
             return None
-        _memory[digest] = blob
+        _memory_put(digest, blob)
         try:
             # Refresh mtime so size eviction is LRU, not FIFO.
             os.utime(_entry_path(digest))
@@ -105,7 +151,7 @@ def load(digest):
         return pickle.loads(blob)
     except Exception:
         # Corrupt or stale entry: forget it and recompile.
-        _memory.pop(digest, None)
+        _memory_forget(digest)
         try:
             os.unlink(_entry_path(digest))
         except OSError:
@@ -121,7 +167,7 @@ def store(digest, module):
         # RecursionError on very deep IR graphs, unpicklable metadata:
         # skip caching, the compile result is still returned.
         return False
-    _memory[digest] = blob
+    _memory_put(digest, blob)
     directory = cache_dir()
     try:
         os.makedirs(directory, exist_ok=True)
@@ -159,7 +205,7 @@ def cache_max_bytes():
 
 
 def evict(max_bytes=None):
-    """Delete least-recently-used entries until the cache fits.
+    """Delete least-recently-used disk entries until the directory fits.
 
     ``max_bytes=None`` reads ``ATOMIG_CACHE_MAX_MB`` and is a no-op
     when unset, so one-shot CLI runs pay nothing.  Eviction is LRU by

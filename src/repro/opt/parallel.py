@@ -47,13 +47,16 @@ class OptimizeTask:
 
     def run(self):
         """Compile, port and optimize; returns the report dict."""
-        from repro.api import port_module
+        from repro.api import compile_source, port_module
         from repro.core.config import PortingLevel
-        from repro.core.workers import cached_module
+        from repro.ir.parser import parse_module
         from repro.opt.weaken import optimize_module
         from repro.vm.costs import cost_model_for
 
-        module = cached_module(self.source, self.name, is_ir=self.is_ir)
+        if self.is_ir:
+            module = parse_module(self.source)
+        else:
+            module = compile_source(self.source, self.name)
         if self.level is not None:
             module, _report = port_module(
                 module, PortingLevel(self.level), config=self.config
@@ -93,11 +96,14 @@ class RepairTask:
 
     def run(self):
         """Compile, port and repair; returns the report dict."""
-        from repro.api import port_module, repair_module
+        from repro.api import compile_source, port_module, repair_module
         from repro.core.config import PortingLevel
-        from repro.core.workers import cached_module
+        from repro.ir.parser import parse_module
 
-        module = cached_module(self.source, self.name, is_ir=self.is_ir)
+        if self.is_ir:
+            module = parse_module(self.source)
+        else:
+            module = compile_source(self.source, self.name)
         if self.level is not None:
             module, _report = port_module(
                 module, PortingLevel(self.level), config=self.config

@@ -178,9 +178,10 @@ def cost_model_for(arch):
 def is_barrier(instr):
     """True for instructions counted as barriers (explicit or implicit).
 
-    Matches :func:`repro.core.report.count_barriers`: stand-alone
-    fences are explicit barriers; atomic loads, stores and RMWs are
-    implicit barriers (LDAR/STLR/CASAL-class on Arm).
+    Stand-alone fences are explicit barriers; atomic loads, stores and
+    RMWs are implicit barriers (LDAR/STLR/CASAL-class on Arm).  The
+    one definition: :func:`repro.core.report.count_barriers` and the
+    cost estimates both classify with it.
     """
     if isinstance(instr, ins.Fence):
         return True

@@ -9,6 +9,7 @@ line tracker adds cross-thread contention penalties.
 
 from repro.errors import AssertionFailure, VMError
 from repro.ir import instructions as ins
+from repro.ir.semantics import BINOP_FUNCTIONS, RMW_FUNCTIONS
 from repro.ir.values import Argument, Constant, GlobalVar
 from repro.vm.costs import CostModel
 from repro.vm.stats import RunStats
@@ -439,59 +440,17 @@ def run_module(module, schedule_seed=0, cost_model=None, quantum=64,
 
 
 def _rmw(op, old, operand):
-    if op == "add":
-        return old + operand
-    if op == "sub":
-        return old - operand
-    if op == "or":
-        return old | operand
-    if op == "and":
-        return old & operand
-    if op == "xor":
-        return old ^ operand
-    if op == "xchg":
-        return operand
-    raise VMError(f"unknown rmw op {op!r}")
+    function = RMW_FUNCTIONS.get(op)
+    if function is None:
+        raise VMError(f"unknown rmw op {op!r}")
+    return function(old, operand)
 
 
 def _compute(op, left, right):
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "==":
-        return 1 if left == right else 0
-    if op == "!=":
-        return 1 if left != right else 0
-    if op == "<":
-        return 1 if left < right else 0
-    if op == ">":
-        return 1 if left > right else 0
-    if op == "<=":
-        return 1 if left <= right else 0
-    if op == ">=":
-        return 1 if left >= right else 0
-    if op == "/":
-        if right == 0:
-            raise VMError("division by zero")
-        quotient = abs(left) // abs(right)
-        return -quotient if (left < 0) != (right < 0) else quotient
-    if op == "%":
-        if right == 0:
-            raise VMError("modulo by zero")
-        quotient = abs(left) // abs(right)
-        quotient = -quotient if (left < 0) != (right < 0) else quotient
-        return left - right * quotient
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "<<":
-        return left << (right & 63)
-    if op == ">>":
-        return left >> (right & 63)
-    raise VMError(f"unknown binop {op!r}")
+    function = BINOP_FUNCTIONS.get(op)
+    if function is None:
+        raise VMError(f"unknown binop {op!r}")
+    try:
+        return function(left, right)
+    except ZeroDivisionError as error:
+        raise VMError(str(error)) from None

@@ -5,10 +5,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core import workers
+from repro import modcache
 from repro.core.workers import (
     WorkerPool,
-    cached_module,
     get_pool,
     pool_stats,
     run_batch,
@@ -16,58 +15,67 @@ from repro.core.workers import (
     timed_call,
 )
 from repro.errors import IRError
+from repro.mc.parallel import CheckTask
 from repro.opt.parallel import OptimizeTask
 
 SOURCE = """
 int x = 0;
 int main() { x = 1; return x; }
 """
-OTHER = """
-int y = 7;
-int main() { return y; }
-"""
 
 
 class TestModuleCache:
-    def test_cached_module_compiles_and_memoizes(self):
-        workers._MEMO.clear()
-        first = cached_module(SOURCE, "m")
-        assert len(workers._MEMO) == 1
-        second = cached_module(SOURCE, "m")
-        assert len(workers._MEMO) == 1  # hit, not a recompile
-        # Distinct clones: mutating one must not leak into the next.
-        assert first is not second
-        del first.functions["main"]
-        assert "main" in cached_module(SOURCE, "m").functions
+    """Task specs compile through the one frontend cache (modcache)."""
+
+    @pytest.fixture(autouse=True)
+    def frontend_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ATOMIG_FRONTEND_CACHE", "1")
+        monkeypatch.setenv("ATOMIG_CACHE_DIR", str(tmp_path))
+        modcache.clear_memory_cache()
+        yield
+        modcache.clear_memory_cache()
+
+    def test_repeated_task_is_a_modcache_hit_with_a_fresh_module(
+        self, monkeypatch
+    ):
+        loaded = []
+        original = modcache.load
+
+        def recording_load(digest):
+            module = original(digest)
+            loaded.append(module)
+            return module
+
+        monkeypatch.setattr(modcache, "load", recording_load)
+        task = CheckTask(name="m", source=SOURCE, model="sc")
+        first = run_batch([task])[0]
+        second = run_batch([task])[0]
+        assert loaded[0] is None  # the first task compiled
+        assert loaded[1] is not None  # the second one hit the cache
+        assert second.outcome == first.outcome == "ok"
+        # Every hit unpickles its own module: mutating one must not
+        # leak into the next.
+        del loaded[1].functions["main"]
+        assert "main" in modcache.load(
+            modcache.source_digest(SOURCE, "m")
+        ).functions
 
     def test_ir_and_c_sources_never_alias(self):
-        workers._MEMO.clear()
-        cached_module(SOURCE, "m", is_ir=False)
-        # Same text tagged as IR must get its own cache slot: it does
-        # not parse as IR, so reaching the parser proves the miss.
+        run_batch([CheckTask(name="m", source=SOURCE, model="sc")])
+        # The same text tagged as IR must not be served the compiled C
+        # module: it does not parse as IR, so reaching the parser
+        # proves the miss.
         with pytest.raises(IRError):
-            cached_module(SOURCE, "m", is_ir=True)
-        assert len(workers._MEMO) == 1
+            run_batch([CheckTask(name="m", source=SOURCE, model="sc",
+                                 is_ir=True)])
 
     def test_one_source_under_two_names_keeps_both_names(self):
-        workers._MEMO.clear()
         tasks = [OptimizeTask(name=name, source=SOURCE)
                  for name in ("left", "right")]
         reports = run_batch(tasks)
         assert [report["module"] for report in reports] == [
             "left.atomig", "right.atomig"
         ]
-        workers._MEMO.clear()
-
-    def test_memo_is_bounded(self):
-        workers._MEMO.clear()
-        for index in range(workers._MEMO_LIMIT + 5):
-            cached_module(
-                f"int g{index} = {index}; int main() {{ return g{index}; }}",
-                f"m{index}",
-            )
-        assert len(workers._MEMO) <= workers._MEMO_LIMIT
-        workers._MEMO.clear()
 
 
 def _double(value):

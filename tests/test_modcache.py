@@ -2,6 +2,8 @@
 
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -187,3 +189,59 @@ def test_store_evicts_when_env_set(isolated_cache, monkeypatch):
     # Every entry is bigger than the budget, so at most one remains
     # (the one just written is eligible too — budget is a hard cap).
     assert len(list(isolated_cache.glob("*.pkl"))) <= 1
+
+
+def test_memory_layer_evicts_oldest_past_the_cap(isolated_cache,
+                                                 monkeypatch):
+    digests = _fill(isolated_cache, 4)  # unbounded: all four kept
+    sizes = [len(modcache._memory[digest]) for digest in digests]
+    modcache.clear_memory_cache()
+    monkeypatch.setenv("ATOMIG_CACHE_DIR", str(isolated_cache / "fresh"))
+    cap = sizes[2] + sizes[3]
+    monkeypatch.setenv("ATOMIG_CACHE_MAX_MB", str((cap + 0.5) / 2 ** 20))
+    assert _fill(isolated_cache, 4) == digests
+    # Storing past the cap dropped the two oldest entries.
+    assert list(modcache._memory) == digests[2:]
+    assert sum(map(len, modcache._memory.values())) <= cap
+    # A hit refreshes recency: the next store evicts digests[3].
+    assert modcache.load(digests[2]) is not None
+    compile_source(SOURCE + "\n// variant 4\n", "m", cache=True)
+    assert digests[3] not in modcache._memory
+    assert digests[2] in modcache._memory
+
+
+def test_memory_layer_accounting_survives_threads(monkeypatch, tmp_path):
+    cap = 4096
+    monkeypatch.setenv("ATOMIG_CACHE_MAX_MB", str((cap + 0.5) / 2 ** 20))
+    # A file, not a directory: every disk write fails at once, so the
+    # threads spend their time in the shared memory layer.
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    monkeypatch.setenv("ATOMIG_CACHE_DIR", str(blocked))
+    errors = []
+
+    def worker(tid):
+        try:
+            for i in range(2500):
+                digest = f"shared-{(tid + i) % 4}"
+                modcache.store(digest, "x" * (100 + i % 60))
+                modcache.load(digest)
+        except Exception as error:  # reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=worker, args=(tid,))
+               for tid in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    # A lost update would leave the running total off the real sum.
+    assert modcache._memory_bytes == sum(map(len, modcache._memory.values()))
+    assert modcache._memory_bytes <= cap
