@@ -97,7 +97,7 @@ gallery and random memory-order assignments.
 """
 
 from repro.mc.encode import state_digest
-from repro.mc.explorer import _action_key, _independent
+from repro.mc.explorer import _independent
 from repro.mc.machine import FINISHED, LIMIT
 from repro.mc.undo import revert
 
@@ -112,7 +112,7 @@ class _Event:
         self.tid = tid
         self.proc = proc        # totally-ordered chain this event is on
         self.selfidx = selfidx  # 1-based index within the process
-        self.akey = akey        # explorer._action_key identity
+        self.akey = akey        # Machine.enabled_actions key
         self.clock = clock      # {proc: selfidx}, includes itself
         self.node = node        # index of pre(e) in the node stack
 
@@ -531,8 +531,8 @@ def explore_dpor(machine, state, result, stats, max_states):
             result.states_explored += 1
             stats.equivalence_classes += 1
             return None
-        enabled = machine.enabled_actions(state)
-        if not enabled:
+        pairs = machine.enabled_actions(state)
+        if not pairs:
             result.states_explored += 1
             stats.equivalence_classes += 1
             if not all(t.status == FINISHED
@@ -552,7 +552,6 @@ def explore_dpor(machine, state, result, stats, max_states):
                     f"deadlocked state ({', '.join(blocked)})"
                 )
             return None
-        pairs = [(action, _action_key(state, action)) for action in enabled]
         if nodes and in_akey is not None:
             sleep = {k for k in nodes[-1].sleep if _independent(k, in_akey)}
         else:

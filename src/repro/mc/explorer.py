@@ -33,7 +33,6 @@ Set ``ATOMIG_DIGEST_CHECK=1`` to verify every incremental digest
 against a from-scratch recomputation.
 """
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -54,10 +53,10 @@ PORS = ("none", "sleep", "dpor")
 class ExplorationStats:
     """Observability record for one exploration (``atomig check --stats``).
 
-    Serialized rows (``to_dict``/``to_json``) carry a ``schema``
-    version plus the ``por`` backend that produced them, so
-    BENCH_mc.json cells are self-describing and a consumer can tell a
-    sleep-set row from a DPOR row without context.  Schema history:
+    Serialized rows (``to_dict``) carry a ``schema`` version plus the
+    ``por`` backend that produced them, so BENCH_mc.json cells and
+    check rows are self-describing and a consumer can tell a sleep-set
+    row from a DPOR row without context.  Schema history:
     1 = unversioned, counters only; 2 = adds version + provenance + the
     DPOR counters; 3 = drops the ``engine`` provenance field (one
     exploration substrate remains); 4 = drops the ``macro`` provenance
@@ -65,7 +64,7 @@ class ExplorationStats:
     not).
     """
 
-    #: to_dict()/to_json() layout version.
+    #: to_dict() layout version.
     SCHEMA = 4
 
     #: Scheduling decision points (mirrored into CheckResult).
@@ -141,9 +140,6 @@ class ExplorationStats:
             "states_per_second": self.states_per_second,
             "compression_ratio": self.compression_ratio,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def summary(self):
         provenance = f"[{self.por}] " if self.por else ""
@@ -224,7 +220,7 @@ class CheckResult:
             "notes": list(self.notes),
         }
         if self.stats is not None:
-            payload["stats"] = self.stats.to_json()
+            payload["stats"] = self.stats.to_dict()
         return payload
 
     def __repr__(self):
@@ -238,40 +234,6 @@ class CheckResult:
             f"CheckResult({self.model}, {status}, "
             f"{self.states_explored} states{extra})"
         )
-
-
-def _action_key(state, action):
-    """Stable identity of an action, carrying the data independence needs.
-
-    A commit is identified by ``(tid, kind, addr, rank)`` where rank
-    counts earlier same-``(kind, addr)`` window entries — *not* by its
-    window index, which shifts when the same thread commits an earlier
-    (independent) entry.  The key is canonical-stable: two concrete
-    states with equal :meth:`State.canonical` forms assign every
-    enabled action the same key, so sleep sets stored with visited
-    states stay meaningful on revisits.  A key can only go stale
-    through a *dependent* action (same thread + same address, or a
-    visible step of the thread), which removes it from every sleep set
-    first.  The final component records whether the entry still holds
-    an unresolved pending value (such entries mutate when the thread
-    commits the feeding load, so they are treated as dependent on
-    everything same-thread).
-    """
-    if action[0] == "visible":
-        return ("v", action[1])
-    _kind, tid, index = action
-    window = state.threads[tid].window
-    entry = window[index]
-    rank = sum(
-        1 for earlier in window[:index]
-        if earlier.kind == entry.kind and earlier.addr == entry.addr
-    )
-    pristine = not (
-        type(entry.value) is tuple or type(entry.rmw_operand) is tuple
-        or type(entry.rmw_expected) is tuple
-        or type(entry.rmw_desired) is tuple
-    )
-    return ("c", tid, entry.kind, entry.addr, rank, pristine)
 
 
 def _independent(key_a, key_b):
@@ -356,7 +318,7 @@ def check_module(module, model="wmm", max_steps=2500,
     started = time.perf_counter()
     try:
         state = machine.initial_state()
-    except Exception as error:  # setup errors are violations too
+    except ValueError as error:  # no @main: nothing to run
         result.violation = f"initialization failed: {error}"
     else:
         # Journal from the built root on: the traversal reverts to
@@ -445,8 +407,8 @@ def _explore_stateful(machine, state, result, stats, reduce, max_states):
                     result.states_explored += 1
                 break
 
-            actions = machine.enabled_actions(state)
-            if not actions:
+            pairs = machine.enabled_actions(state)
+            if not pairs:
                 if revisit:
                     stats.dedup_hits += 1
                     break
@@ -471,9 +433,6 @@ def _explore_stateful(machine, state, result, stats, reduce, max_states):
                 )
                 break
 
-            pairs = [
-                (action, _action_key(state, action)) for action in actions
-            ]
             if revisit:
                 explorable = [
                     (action, akey) for action, akey in pairs

@@ -98,18 +98,6 @@ class Context:
         # ever get a frame, so every per-function table below covers
         # just that closure.
         functions = _main_closure(module)
-        # Frame-free operand values (constants, global addresses),
-        # resolved once: the interpreter's ``_value`` becomes one dict
-        # probe + env lookup instead of an isinstance chain.
-        self.operand_values = {}
-        for function in functions:
-            for instr in function.instructions():
-                for operand in instr.operands:
-                    if isinstance(operand, Constant):
-                        self.operand_values[id(operand)] = operand.value
-                    elif isinstance(operand, GlobalVar):
-                        self.operand_values[id(operand)] = (
-                            self.global_addr[operand.name])
         # Liveness-driven env GC: operand death points and write-skips
         # (see repro.analysis.liveness) — keeps frame envs at live-set
         # size, which every encode/clone/canonical is O() of.
@@ -301,6 +289,7 @@ class WindowEntry:
         "acq",
         "rel",
         "sc",
+        "pristine",
         "code",
         "_canon",
     )
@@ -324,6 +313,11 @@ class WindowEntry:
         self.acq = kind in ("load", "rmw") and order.has_acquire
         self.rel = kind in ("store", "rmw_store") and order.has_release
         self.sc = order is MemoryOrder.SEQ_CST
+        # No operand still pending (see Machine.enabled_actions).
+        self.pristine = not (
+            type(value) is tuple or type(rmw_operand) is tuple
+            or type(rmw_expected) is tuple or type(rmw_desired) is tuple
+        )
         self.code = entry_code(kind, addr, order, rmw_op, rmw_operand,
                                rmw_expected, rmw_desired)
         self._canon = None
@@ -710,12 +704,9 @@ class Machine:
         self.ctx = context
         self.max_steps = max_steps
         self.journal = None
-        model = context.model
-        self._loads_buffered = model.buffers_loads()
-        self._stores_buffered = model.buffers_stores()
-        self._dies = context.dies
-        self._unused = context.unused
-        self._opvals = context.operand_values
+        # Basic block -> its decoded code, filled as the check enters
+        # blocks (see _run and _decode).
+        self._codes = {}
         # Journal epoch: bumped once per applied action.  Between two
         # epoch bumps the explorer never takes a revert mark, so one
         # OP_STEPS/OP_FIDX record per (thread/frame, epoch) restores
@@ -808,23 +799,52 @@ class Machine:
             # Join conditions may have been satisfied by finishing threads.
 
     def enabled_actions(self, state):
-        """All scheduler choices available at a quiescent state."""
-        actions = []
+        """All scheduler choices at a quiescent state, as ``(action,
+        key)`` pairs.
+
+        ``key`` is the action's stable identity, carrying the data the
+        explorers' independence test needs.  A visible step is
+        ``("v", tid)``.  A commit is ``("c", tid, kind, addr, rank,
+        pristine)``, where rank counts the earlier window entries of the
+        same ``(kind, addr)`` — *not* the window index, which shifts
+        when the same thread commits an earlier (independent) entry —
+        and is kept as one running count per ``(kind, addr)`` while the
+        window is walked.  Keys are canonical-stable: two concrete
+        states with equal :meth:`State.canonical` forms assign every
+        enabled action the same key, so sleep sets stored with visited
+        states stay meaningful on revisits.  A key can only go stale
+        through a *dependent* action (same thread + same address, or a
+        visible step of the thread), which removes it from every sleep
+        set first.  ``pristine`` is false while the entry still holds
+        an unresolved pending value (such entries mutate when the
+        thread commits the feeding load, so they are treated as
+        dependent on everything same-thread).
+        """
+        pairs = []
         may_commit = self.ctx.model.may_commit
         reservations = state.reservations
         for tid, thread in state.threads.items():
             if thread.status == READY:
-                actions.append(("visible", tid))
+                pairs.append((("visible", tid), ("v", tid)))
             window = thread.window
+            if not window:
+                continue
+            ranks = {}
             for index, entry in enumerate(window):
+                kind = entry.kind
+                addr = entry.addr
+                same = (kind, addr)
+                rank = ranks.get(same, 0)
+                ranks[same] = rank + 1
                 if not may_commit(window, index):
                     continue
-                if entry.kind != "load":
-                    reserved_by = reservations.get(entry.addr)
+                if kind != "load":
+                    reserved_by = reservations.get(addr)
                     if reserved_by is not None and reserved_by != tid:
                         continue
-                actions.append(("commit", tid, index))
-        return actions
+                pairs.append((("commit", tid, index),
+                              ("c", tid, kind, addr, rank, entry.pristine)))
+        return pairs
 
     def apply_action(self, state, action):
         self._epoch += 1  # new revert-mark context (see __init__)
@@ -847,9 +867,9 @@ class Machine:
 
         A thread is READY exactly when its next instruction is an
         *immediate* memory operation (every ``_VISIBLE`` return sits in
-        ``_do_load``/``_do_store``/``_do_rmw``, after the address
-        resolved — a pending address blocks instead), so the footprint
-        can be peeked without executing anything.  Returns ``(kind,
+        a load, store or RMW step, after the address resolved — a
+        pending address blocks instead), so the footprint can be peeked
+        without executing anything.  Returns ``(kind,
         addr)`` with ``kind`` in ``{"load", "store", "rmw"}`` and a
         concrete address, or ``None`` when the instruction cannot be
         classified — callers must then treat the step as conflicting
@@ -874,7 +894,7 @@ class Machine:
             else:
                 return None
             addr = self._value(frame, instr.pointer)
-        except (IndexError, KeyError, ExecutionError):
+        except (IndexError, KeyError):
             return None
         if type(addr) is not int:
             return None
@@ -1055,22 +1075,27 @@ class Machine:
             self._set_violation(state, error.message)
             return True
 
-    # -- the interpreter -------------------------------------------------------
+    # -- the decoded kernel ------------------------------------------------------
 
     def _run(self, state, thread, visible_ok):
         """Run ``thread`` until it blocks, finishes, or needs a visible
         slot; returns True if any instruction executed.
 
-        The whole burst runs in one loop with the loop-invariant lookups
-        (journal, epoch, dispatch table, liveness tables, frame) hoisted
-        out — per-instruction overhead is what bounds the explorer's
-        states/s, so this path avoids one function call and a re-derived
-        prologue per instruction.  Only the *first* iteration honours
-        ``visible_ok``: a scheduled visible step immediately continues
-        into its invisible suffix (quiescence is confluent — invisible
-        steps never write shared memory, and the only cross-thread
-        influence, threads *finishing*, is monotone — so folding the
-        suffix into the same loop cannot change the fixpoint).
+        Every basic block runs as its decoded code (:meth:`_decode`): one
+        ``(step, key, dies, keep)`` entry per instruction, where ``step``
+        is the instruction specialized into a closure, ``key`` the env
+        key of its result, ``dies`` the env keys whose last use it is,
+        and ``keep`` whether anything ever reads the result.  The loop
+        runs ``code[frame.index]`` and looks a block's code up again only
+        after a step moved the PC (``_CONTROL``); the loop-invariant
+        lookups (journal, epoch, code table, frame) are hoisted out,
+        because per-instruction overhead is what bounds the explorer's
+        states/s.  Only the *first* iteration honours ``visible_ok``: a
+        scheduled visible step immediately continues into its invisible
+        suffix (quiescence is confluent — invisible steps never write
+        shared memory, and the only cross-thread influence, threads
+        *finishing*, is monotone — so folding the suffix into the same
+        loop cannot change the fixpoint).
         """
         status = thread.status
         if status is FINISHED or status is FINISHING or status is LIMIT:
@@ -1078,9 +1103,7 @@ class Machine:
         journal = self.journal
         epoch = self._epoch
         max_steps = self.max_steps
-        handlers = _HANDLERS
-        dies_get = self._dies.get
-        unused = self._unused
+        codes = self._codes
         frames = thread.frames
         owned = thread.owned
         top = len(frames) - 1
@@ -1088,6 +1111,10 @@ class Machine:
             frame = frames[top]  # explorer states are never cloned
         else:
             frame = thread.mutable_frame_at(top, journal)
+        code = codes.get(frame.block) or self._decode(frame.block)
+        # Journal epoch: one OP_FIDX record per (frame, epoch) restores
+        # the frame's whole index run (see __init__).
+        indexed = journal is None or frame._iepoch == epoch
         progressed = False
         steps = thread.steps
         try:
@@ -1095,37 +1122,35 @@ class Machine:
                 if steps >= max_steps:
                     self._set_status(state, thread, LIMIT)
                     break
-                instr = frame.block.instructions[frame.index]
-                handler = handlers.get(instr.__class__)
-                if handler is not None:
-                    result = handler(
-                        self, state, thread, frame, instr, visible_ok)
-                else:
-                    result = self._dispatch_generic(
-                        state, thread, frame, instr, visible_ok)
+                step, key, dies, keep = code[frame.index]
+                result = step(self, state, thread, frame, visible_ok)
                 if result is _BLOCKED:
                     # A failed probe mutated nothing: no touch, no journal.
-                    self._set_status(state, thread, BLOCKED)
+                    if thread.status is not BLOCKED:
+                        self._set_status(state, thread, BLOCKED)
                     thread._bepoch = state.probe_epoch  # memoize the failure
                     break
                 if result is _VISIBLE:
                     self._set_status(state, thread, READY)
                     thread._bepoch = state.probe_epoch  # idem: probe-stable
                     break
-                visible_ok = False  # only the scheduled step is visible
-                progressed = True
-                if journal is not None and thread._sepoch != epoch:
-                    thread._sepoch = epoch
-                    journal.append((OP_STEPS, thread, steps))
+                if not progressed:
+                    # The run's first executed instruction: one OP_STEPS
+                    # record per epoch restores the counter, and one
+                    # touch covers every later write of this run (no
+                    # digest is taken before it returns).
+                    progressed = True
+                    visible_ok = False  # only the scheduled step is visible
+                    if journal is not None and thread._sepoch != epoch:
+                        thread._sepoch = epoch
+                        journal.append((OP_STEPS, thread, steps))
+                    touch(journal, thread)
                 steps += 1
-                key = id(instr)
                 # Env GC: the operands whose last use this instruction
                 # was are unreadable from here on — drop them (Ret has
                 # an empty list; its popped frame may be shared and
                 # must not be written).
-                dies = dies_get(key)
                 if dies:
-                    touch(journal, thread)
                     env = frame.env
                     for dkey in dies:
                         old = env.pop(dkey, _ABSENT)
@@ -1142,10 +1167,11 @@ class Machine:
                         frame = frames[top]
                     else:
                         frame = thread.mutable_frame_at(top, journal)
+                    code = codes.get(frame.block) or self._decode(frame.block)
+                    indexed = journal is None or frame._iepoch == epoch
                     continue
-                env = frame.env
-                touch(journal, thread)
-                if key not in unused:  # skip never-read results entirely
+                if keep:  # never-read results are skipped entirely
+                    env = frame.env
                     had = key in env
                     if journal is not None:
                         journal.append((OP_ENV, thread, frame, key, had,
@@ -1153,10 +1179,20 @@ class Machine:
                     if not had:
                         frame._skeys = None
                     env[key] = result
-                if journal is not None and frame._iepoch != epoch:
+                if not indexed:
+                    indexed = True
                     frame._iepoch = epoch
                     journal.append((OP_FIDX, thread, frame, frame.index))
                 frame.index += 1
+        except KeyError as error:
+            # An operand no step can evaluate reads an env key that is
+            # never bound (see _operand); any other miss is a liveness or
+            # undo bug and propagates as the internal error it is.
+            if error.args and type(error.args[0]) is _Unevaluable:
+                raise ExecutionError(
+                    f"cannot evaluate operand {error.args[0].operand!r}"
+                ) from None
+            raise
         finally:
             # Also on ExecutionError: the journal's OP_STEPS snapshot
             # reverts from whatever value is current, so the counter
@@ -1164,57 +1200,143 @@ class Machine:
             thread.steps = steps
         return progressed
 
-    def _dispatch_generic(self, state, thread, frame, instr, visible_ok):
-        """Subclass-tolerant fallback for exact-class handler misses."""
-        for cls, handler in _HANDLERS.items():
-            if isinstance(instr, cls):
-                return handler(self, state, thread, frame, instr, visible_ok)
-        raise ExecutionError(f"model checker cannot execute {instr!r}")
+    def _decode(self, block):
+        """Decode ``block`` into its code for this check (see :meth:`_run`).
 
-    # -- operand evaluation -------------------------------------------------------
+        Decoding only reads the IR; every error an instruction can raise
+        is raised by its step, when it executes, so an instruction the
+        checker cannot run still checks ``ok`` in a block no execution
+        reaches.  The code lives on this machine and dies with the
+        check: the weakener rewrites orders and deletes fences in place
+        between checks, so decoded code must never outlive one.
+        """
+        ctx = self.ctx
+        dies = ctx.dies
+        unused = ctx.unused
+        code = []
+        for instr in block.instructions:
+            decode = _DECODERS.get(instr.__class__)
+            if decode is None:  # subclass-tolerant, in table order
+                decode = next(
+                    (decode for cls, decode in _DECODERS.items()
+                     if isinstance(instr, cls)),
+                    _decode_unsupported,
+                )
+            key = id(instr)
+            code.append(
+                (decode(self, instr), key, dies.get(key), key not in unused))
+        self._codes[block] = code
+        return code
 
     def _value(self, frame, operand):
-        key = id(operand)
-        value = self._opvals.get(key, _ABSENT)
-        if value is not _ABSENT:
-            return value  # constant or global address, precomputed
+        """One operand's current value (``KeyError`` when it has none)."""
+        key, value = _operand(self, operand)
+        return value if key is None else frame.env[key]
+
+
+# Sentinels returned by the decoded steps.
+_BLOCKED = object()
+_VISIBLE = object()
+_CONTROL = object()
+
+
+class _Unevaluable:
+    """The env key of an operand the checker cannot evaluate.
+
+    It is never bound, so the step that reads it raises ``KeyError``
+    with it when the instruction executes, which ``Machine._run``
+    reports as "cannot evaluate operand".
+    """
+
+    __slots__ = ("operand",)
+
+    def __init__(self, operand):
+        self.operand = operand
+
+
+def _operand(machine, operand):
+    """``(key, value)`` of one operand, resolved once at decode time.
+
+    Frame-free operands (constants, global addresses) come back as
+    ``(None, value)``; registers as ``(env key, None)``, read in a step
+    as ``value if key is None else frame.env[key]``.
+    """
+    if isinstance(operand, Constant):
+        return None, operand.value
+    if isinstance(operand, GlobalVar):
+        return None, machine.ctx.global_addr[operand.name]
+    if isinstance(operand, (Argument, ins.Instruction)):
+        return id(operand), None
+    return _Unevaluable(operand), None
+
+
+# -- decoders: one per instruction class, each returning the step -----------
+#
+# A step is ``step(machine, state, thread, frame, visible_ok)`` and
+# returns the instruction's result, or _BLOCKED, _VISIBLE or _CONTROL.
+# Decoders resolve everything that is fixed for the check — operands,
+# operator functions, the private-access flag, the model's buffering
+# and drain answers for the instruction's order, the window limit — so
+# the step does only the work that depends on the state.
+
+
+def _constant_step(value):
+    def step(machine, state, thread, frame, visible_ok):
+        return value
+    return step
+
+
+def _step_zero(machine, state, thread, frame, visible_ok):
+    return 0
+
+
+def _step_fence(machine, state, thread, frame, visible_ok):
+    return _BLOCKED if thread.window else 0
+
+
+def _decode_binop(machine, instr):
+    lkey, lvalue = _operand(machine, instr.left)
+    rkey, rvalue = _operand(machine, instr.right)
+    function = BINOP_FUNCTIONS.get(instr.op)
+    if function is None:
+        op = instr.op
+
+        def function(left, right):
+            raise ExecutionError(f"unknown binop {op!r}")
+
+    def step(machine, state, thread, frame, visible_ok):
+        env = frame.env
+        left = lvalue if lkey is None else env[lkey]
+        right = rvalue if rkey is None else env[rkey]
+        if type(left) is tuple or type(right) is tuple:
+            return _BLOCKED
         try:
-            return frame.env[key]
-        except KeyError:
-            if isinstance(operand, (Argument, ins.Instruction)):
-                raise  # a liveness/undo bug, not a user-program error
-            raise ExecutionError(f"cannot evaluate operand {operand!r}")
+            return function(left, right)
+        except ZeroDivisionError as error:
+            raise ExecutionError(str(error)) from None
+    return step
 
-    # -- memory operations ------------------------------------------------------------
 
-    def _do_alloca(self, state, thread, frame, instr):
-        addr = frame.alloca_addrs.get(id(instr))
-        if addr is None:
-            journal = self.journal
-            touch(journal, thread)
-            addr = thread.stack_top
-            size = max(instr.allocated_type.size, 1)
-            if journal is not None:
-                journal.append((OP_STACK, thread, thread.stack_top))
-                journal.append((OP_ALLOC, thread, frame, id(instr)))
-            thread.stack_top = addr + size
-            frame.alloca_addrs[id(instr)] = addr
-            frame._salloc = None
-            for offset in range(size):
-                state.mem_write(addr + offset, 0, journal)
-        return addr
+def _decode_load(machine, instr):
+    pkey, pvalue = _operand(machine, instr.pointer)
+    model = machine.ctx.model
+    private = id(instr) in machine.ctx.private
+    buffered = model.buffers_loads()
+    forwarding = model.buffers_stores()
+    limit = model.window_limit
+    order = instr.order
 
-    def _do_load(self, state, thread, frame, instr, visible_ok):
-        addr = self._value(frame, instr.pointer)
+    def step(machine, state, thread, frame, visible_ok):
+        addr = pvalue if pkey is None else frame.env[pkey]
         if type(addr) is tuple:
             return _BLOCKED
-        if id(instr) in self.ctx.private:
+        if private:
             return state.memory.get(addr, 0)
-        if self._loads_buffered:
+        if buffered:
             window = thread.window
-            if len(window) >= self.ctx.model.window_limit:
+            if len(window) >= limit:
                 return _BLOCKED
-            journal = self.journal
+            journal = machine.journal
             touch(journal, thread)
             if journal is not None:
                 journal.append((OP_SSET, "token_counter",
@@ -1223,84 +1345,109 @@ class Machine:
             state.token_counter += 1
             token = state.token_counter
             window.append(
-                WindowEntry("load", addr, instr.order, instr, token=token)
-            )
+                WindowEntry("load", addr, order, instr, token=token))
             return (_PENDING, token)
         # Immediate load (SC / TSO): a visible scheduling point.
         if not visible_ok:
             return _VISIBLE
-        if self._stores_buffered:
+        if forwarding:
             for entry in reversed(thread.window):  # TSO store forwarding
                 if entry.addr == addr and entry.kind in ("store", "rmw_store"):
                     return entry.value
         return state.memory.get(addr, 0)
+    return step
 
-    def _do_store(self, state, thread, frame, instr, visible_ok):
-        addr = self._value(frame, instr.pointer)
-        value = self._value(frame, instr.value)
+
+def _decode_store(machine, instr):
+    pkey, pvalue = _operand(machine, instr.pointer)
+    vkey, vvalue = _operand(machine, instr.value)
+    model = machine.ctx.model
+    private = id(instr) in machine.ctx.private
+    # Without buffered loads no pending value can be stored.
+    tokens_block = not model.buffers_loads()
+    drain = model.store_requires_drain(instr.order)
+    buffered = model.buffers_stores()
+    limit = model.window_limit
+    order = instr.order
+
+    def step(machine, state, thread, frame, visible_ok):
+        env = frame.env
+        addr = pvalue if pkey is None else env[pkey]
+        value = vvalue if vkey is None else env[vkey]
         if type(addr) is tuple:
             return _BLOCKED
-        if id(instr) in self.ctx.private:
-            state.mem_write(addr, value, self.journal)  # tokens may flow
+        if private:
+            state.mem_write(addr, value, machine.journal)  # tokens may flow
             return 0
-        model = self.ctx.model
-        if type(value) is tuple and not self._loads_buffered:
+        if tokens_block and type(value) is tuple:
             return _BLOCKED
-        if model.store_requires_drain(instr.order):
+        if drain:
             if thread.window:
                 return _BLOCKED
             if not visible_ok:
                 return _VISIBLE
             if type(value) is tuple:
                 return _BLOCKED
-            state.mem_write(addr, value, self.journal)
-            return 0
-        if self._stores_buffered:
+        elif buffered:
             window = thread.window
-            if len(window) >= model.window_limit:
+            if len(window) >= limit:
                 return _BLOCKED
-            journal = self.journal
+            journal = machine.journal
             touch(journal, thread)
             if journal is not None:
                 journal.append((OP_WADD, thread))
             window.append(
-                WindowEntry("store", addr, instr.order, instr, value=value)
-            )
+                WindowEntry("store", addr, order, instr, value=value))
             return 0
-        if not visible_ok:
+        elif not visible_ok:
             return _VISIBLE
-        state.mem_write(addr, value, self.journal)
+        state.mem_write(addr, value, machine.journal)
         return 0
+    return step
 
-    def _do_rmw(self, state, thread, frame, instr, visible_ok):
-        addr = self._value(frame, instr.pointer)
+
+def _decode_rmw(machine, instr):
+    pkey, pvalue = _operand(machine, instr.pointer)
+    cas = isinstance(instr, ins.Cmpxchg)
+    if cas:
+        ekey, evalue = _operand(machine, instr.expected)
+        dkey, dvalue = _operand(machine, instr.desired)
+        op = None
+    else:
+        okey, ovalue = _operand(machine, instr.value)
+        op = instr.op
+    private = id(instr) in machine.ctx.private
+    model = machine.ctx.model
+    drain = model.rmw_requires_drain()
+    limit = model.window_limit
+    order = instr.order
+
+    def step(machine, state, thread, frame, visible_ok):
+        env = frame.env
+        addr = pvalue if pkey is None else env[pkey]
         if type(addr) is tuple:
             return _BLOCKED
-        if isinstance(instr, ins.Cmpxchg):
-            expected = self._value(frame, instr.expected)
-            desired = self._value(frame, instr.desired)
+        if cas:
+            expected = evalue if ekey is None else env[ekey]
+            desired = dvalue if dkey is None else env[dkey]
             if type(expected) is tuple or type(desired) is tuple:
                 return _BLOCKED
-            op, operand = None, None
+            operand = None
         else:
-            operand = self._value(frame, instr.value)
+            operand = ovalue if okey is None else env[okey]
             if type(operand) is tuple:
                 return _BLOCKED
-            op = instr.op
             expected = desired = None
-
-        if id(instr) in self.ctx.private:
+        if private:
             old = state.memory.get(addr, 0)
             new = (
                 desired
                 if (op is None and old == expected)
                 else old if op is None else _rmw_compute(op, old, operand)
             )
-            state.mem_write(addr, new, self.journal)
+            state.mem_write(addr, new, machine.journal)
             return old
-
-        model = self.ctx.model
-        if model.rmw_requires_drain():
+        if drain:
             if thread.window:
                 return _BLOCKED
             if not visible_ok:
@@ -1308,16 +1455,16 @@ class Machine:
             old = state.memory.get(addr, 0)
             if op is None:
                 if old == expected:
-                    state.mem_write(addr, desired, self.journal)
+                    state.mem_write(addr, desired, machine.journal)
             else:
                 state.mem_write(addr, _rmw_compute(op, old, operand),
-                                self.journal)
+                                machine.journal)
             return old
         # WMM: enter the window; execution happens at commit time.
         window = thread.window
-        if len(window) >= model.window_limit:
+        if len(window) >= limit:
             return _BLOCKED
-        journal = self.journal
+        journal = machine.journal
         touch(journal, thread)
         if journal is not None:
             journal.append((OP_SSET, "token_counter", state.token_counter))
@@ -1326,57 +1473,124 @@ class Machine:
         token = state.token_counter
         window.append(
             WindowEntry(
-                "rmw", addr, instr.order, instr, token=token,
+                "rmw", addr, order, instr, token=token,
                 rmw_op=op, rmw_operand=operand,
                 rmw_expected=expected, rmw_desired=desired,
             )
         )
         return (_PENDING, token)
+    return step
 
-    def _do_fence(self, thread):
-        if thread.window:
-            return _BLOCKED
-        return 0
 
-    def _do_gep(self, frame, instr):
-        addr = self._value(frame, instr.base)
+def _decode_gep(machine, instr):
+    bkey, bvalue = _operand(machine, instr.base)
+    # Field steps add constant offsets; only index steps read operands.
+    offset = 0
+    indices = []
+    for path_step in instr.path:
+        if path_step[0] == "field":
+            struct_type, field_index = path_step[1], path_step[2]
+            offset += sum(
+                ftype.size for _, ftype in struct_type.fields[:field_index]
+            )
+        else:
+            indices.append(
+                (path_step[1].size,) + _operand(machine, path_step[2]))
+    if not indices:
+        if bkey is None:
+            return _constant_step(bvalue + offset)
+
+        def step(machine, state, thread, frame, visible_ok):
+            addr = frame.env[bkey]
+            if type(addr) is tuple:
+                return _BLOCKED
+            return addr + offset
+        return step
+
+    def step(machine, state, thread, frame, visible_ok):
+        env = frame.env
+        addr = bvalue if bkey is None else env[bkey]
         if type(addr) is tuple:
             return _BLOCKED
-        for step in instr.path:
-            if step[0] == "field":
-                struct_type, field_index = step[1], step[2]
-                addr += sum(
-                    ftype.size for _, ftype in struct_type.fields[:field_index]
-                )
-            else:
-                element, index_value = step[1], self._value(frame, step[2])
-                if type(index_value) is tuple:
+        addr += offset
+        for size, key, value in indices:
+            if key is not None:
+                value = env[key]
+                if type(value) is tuple:
                     return _BLOCKED
-                addr += element.size * index_value
+            addr += size * value
         return addr
+    return step
 
-    def _do_binop(self, frame, instr):
-        left = self._value(frame, instr.left)
-        right = self._value(frame, instr.right)
-        if type(left) is tuple or type(right) is tuple:
+
+def _decode_alloca(machine, instr):
+    key = id(instr)
+    size = max(instr.allocated_type.size, 1)
+
+    def step(machine, state, thread, frame, visible_ok):
+        addr = frame.alloca_addrs.get(key)
+        if addr is None:
+            journal = machine.journal
+            touch(journal, thread)
+            addr = thread.stack_top
+            if journal is not None:
+                journal.append((OP_STACK, thread, thread.stack_top))
+                journal.append((OP_ALLOC, thread, frame, key))
+            thread.stack_top = addr + size
+            frame.alloca_addrs[key] = addr
+            frame._salloc = None
+            for offset in range(size):
+                state.mem_write(addr + offset, 0, journal)
+        return addr
+    return step
+
+
+def _decode_cast(machine, instr):
+    key, value = _operand(machine, instr.value)
+    if key is None:
+        return _constant_step(value)
+
+    def step(machine, state, thread, frame, visible_ok):
+        return frame.env[key]  # pending values pass through unforced
+    return step
+
+
+def _decode_br(machine, instr):
+    return _branch_step(None, 1, instr.target, instr.target)
+
+
+def _decode_condbr(machine, instr):
+    ckey, cvalue = _operand(machine, instr.cond)
+    return _branch_step(ckey, cvalue, instr.true_block, instr.false_block)
+
+
+def _branch_step(ckey, cvalue, true_block, false_block):
+    def step(machine, state, thread, frame, visible_ok):
+        cond = cvalue if ckey is None else frame.env[ckey]
+        if type(cond) is tuple:
             return _BLOCKED
-        function = BINOP_FUNCTIONS.get(instr.op)
-        if function is None:
-            raise ExecutionError(f"unknown binop {instr.op!r}")
-        try:
-            return function(left, right)
-        except ZeroDivisionError as error:
-            raise ExecutionError(str(error)) from None
+        journal = machine.journal
+        touch(journal, thread)
+        if journal is not None:
+            journal.append((OP_FBLK, thread, frame, frame.block, frame.index))
+            # The block record restores the index too: no OP_FIDX needed
+            # for the rest of this epoch's run in the new block.
+            frame._iepoch = machine._epoch
+        frame.block = true_block if cond else false_block
+        frame.index = 0
+        return _CONTROL
+    return step
 
-    # -- control -------------------------------------------------------------------------
 
-    def _do_ret(self, state, thread, frame, instr):
-        value = 0
-        if instr.has_value:
-            value = self._value(frame, instr.value)
-            if type(value) is tuple:
-                return _BLOCKED
-        journal = self.journal
+def _decode_ret(machine, instr):
+    vkey, vvalue = (_operand(machine, instr.value) if instr.has_value
+                    else (None, 0))
+
+    def step(machine, state, thread, frame, visible_ok):
+        value = vvalue if vkey is None else frame.env[vkey]
+        if type(value) is tuple:
+            return _BLOCKED
+        journal = machine.journal
         touch(journal, thread)
         # Reclaim the frame's stack slots so re-execution is canonical.
         for addr in range(frame.stack_base, thread.stack_top):
@@ -1388,12 +1602,12 @@ class Machine:
         thread.stack_top = frame.stack_base
         thread.pop_frame()
         if not thread.frames:
-            self._set_status(state, thread,
-                             FINISHING if thread.window else FINISHED)
+            machine._set_status(state, thread,
+                                FINISHING if thread.window else FINISHED)
             return _CONTROL
         caller = thread.mutable_frame(journal)
         call_instr = frame.call_instr
-        if call_instr is not None and id(call_instr) not in self._unused:
+        if call_instr is not None and id(call_instr) not in machine.ctx.unused:
             key = id(call_instr)
             env = caller.env
             had = key in env
@@ -1404,61 +1618,82 @@ class Machine:
                 caller._skeys = None
             env[key] = value
         if journal is not None:
-            epoch = self._epoch
+            epoch = machine._epoch
             if caller._iepoch != epoch:
                 caller._iepoch = epoch
                 journal.append((OP_FIDX, thread, caller, caller.index))
         caller.index += 1
         return _CONTROL
+    return step
 
-    def _do_call(self, state, thread, frame, instr):
-        args = []
-        for operand in instr.args:
-            value = self._value(frame, operand)
-            if type(value) is tuple:
-                return _BLOCKED
-            args.append(value)
+
+def _decode_call(machine, instr):
+    args = [_operand(machine, operand) for operand in instr.args]
+    callee = instr.callee
+    params = [id(argument) for argument in callee.arguments]
+
+    def step(machine, state, thread, frame, visible_ok):
+        env = frame.env
+        values = []
+        for key, value in args:
+            if key is not None:
+                value = env[key]
+                if type(value) is tuple:
+                    return _BLOCKED
+            values.append(value)
         if len(thread.frames) > 64:
             raise ExecutionError(
                 f"call-stack overflow in @{frame.function.name}"
             )
-        callee_frame = Frame(instr.callee, call_instr=instr)
+        callee_frame = Frame(callee, call_instr=instr)
         callee_frame.stack_base = thread.stack_top
-        for argument, value in zip(instr.callee.arguments, args):
-            callee_frame.env[id(argument)] = value
-        journal = self.journal
+        callee_env = callee_frame.env
+        for param, value in zip(params, values):
+            callee_env[param] = value
+        journal = machine.journal
         touch(journal, thread)
         if journal is not None:
             journal.append((OP_FPUSH, thread))
         thread.push_frame(callee_frame)
         return _CONTROL
+    return step
 
-    def _do_thread_create(self, state, thread, frame, instr):
+
+def _decode_thread_create(machine, instr):
+    has_arg = instr.arg is not None
+    akey, avalue = _operand(machine, instr.arg) if has_arg else (None, None)
+    callee = instr.callee
+    param = id(callee.arguments[0]) if callee.arguments else None
+
+    def step(machine, state, thread, frame, visible_ok):
         arg = None
-        if instr.arg is not None:
-            arg = self._value(frame, instr.arg)
+        if has_arg:
+            arg = avalue if akey is None else frame.env[akey]
             if type(arg) is tuple:
                 return _BLOCKED
-        journal = self.journal
+        journal = machine.journal
         tid = state.next_tid
         if journal is not None:
             journal.append((OP_SSET, "next_tid", tid))
             journal.append((OP_TNEW, tid))
         state.next_tid = tid + 1
-        new_frame = Frame(instr.callee)
+        new_frame = Frame(callee)
         new_thread = Thread(tid, new_frame)
-        if instr.callee.arguments and arg is not None:
-            new_frame.env[id(instr.callee.arguments[0])] = arg
-        elif instr.callee.arguments:
-            new_frame.env[id(instr.callee.arguments[0])] = 0
+        if param is not None:
+            new_frame.env[param] = 0 if arg is None else arg
         state.threads[tid] = new_thread
         if state.trace_len < TRACE_CAP:
-            state.log(f"T{thread.tid} spawns T{tid} @{instr.callee.name}",
+            state.log(f"T{thread.tid} spawns T{tid} @{callee.name}",
                       journal)
         return tid
+    return step
 
-    def _do_thread_join(self, state, frame, instr):
-        tid = self._value(frame, instr.tid)
+
+def _decode_thread_join(machine, instr):
+    key, value = _operand(machine, instr.tid)
+
+    def step(machine, state, thread, frame, visible_ok):
+        tid = value if key is None else frame.env[key]
         if type(tid) is tuple:
             return _BLOCKED
         target = state.threads.get(tid)
@@ -1469,12 +1704,17 @@ class Machine:
         if target.status == LIMIT:
             return 0  # bounded-away thread: treat as joined (truncation)
         return _BLOCKED
+    return step
 
-    def _do_malloc(self, state, frame, instr):
-        size = self._value(frame, instr.size)
+
+def _decode_malloc(machine, instr):
+    key, value = _operand(machine, instr.size)
+
+    def step(machine, state, thread, frame, visible_ok):
+        size = value if key is None else frame.env[key]
         if type(size) is tuple:
             return _BLOCKED
-        journal = self.journal
+        journal = machine.journal
         addr = state.heap_top
         if journal is not None:
             journal.append((OP_SSET, "heap_top", addr))
@@ -1485,95 +1725,80 @@ class Machine:
             if addr + offset not in memory:
                 state.mem_write(addr + offset, 0, journal)
         return addr
+    return step
 
 
-# Sentinels returned by the dispatch handlers.
-_BLOCKED = object()
-_VISIBLE = object()
-_CONTROL = object()
+def _decode_free(machine, instr):
+    key, value = _operand(machine, instr.pointer)
+
+    def step(machine, state, thread, frame, visible_ok):
+        pointer = value if key is None else frame.env[key]
+        return _BLOCKED if type(pointer) is tuple else 0
+    return step
 
 
-# -- standalone dispatch handlers (uniform signature) -----------------------
+def _decode_assert(machine, instr):
+    key, value = _operand(machine, instr.cond)
+
+    def step(machine, state, thread, frame, visible_ok):
+        cond = value if key is None else frame.env[key]
+        if type(cond) is tuple:
+            return _BLOCKED
+        if not cond:
+            raise ExecutionError(
+                f"assertion failed in @{frame.function.name}: "
+                f"{instr.message or instr!r}"
+            )
+        return 0
+    return step
 
 
-def _h_br(machine, state, thread, frame, instr, visible_ok):
-    journal = machine.journal
-    touch(journal, thread)
-    if journal is not None:
-        journal.append((OP_FBLK, thread, frame, frame.block, frame.index))
-        # The block record restores the index too: no OP_FIDX needed
-        # for the rest of this epoch's run in the new block.
-        frame._iepoch = machine._epoch
-    frame.block = instr.target
-    frame.index = 0
-    return _CONTROL
+def _decode_print(machine, instr):
+    key, value = _operand(machine, instr.value)
+
+    def step(machine, state, thread, frame, visible_ok):
+        printed = value if key is None else frame.env[key]
+        if type(printed) is tuple:
+            return _BLOCKED
+        journal = machine.journal
+        if journal is not None:
+            journal.append((OP_OUT,))
+        state.output.append(printed)
+        return 0
+    return step
 
 
-def _h_condbr(machine, state, thread, frame, instr, visible_ok):
-    cond = machine._value(frame, instr.cond)
-    if type(cond) is tuple:
-        return _BLOCKED
-    journal = machine.journal
-    touch(journal, thread)
-    if journal is not None:
-        journal.append((OP_FBLK, thread, frame, frame.block, frame.index))
-        frame._iepoch = machine._epoch  # subsumes OP_FIDX (see _h_br)
-    frame.block = instr.true_block if cond else instr.false_block
-    frame.index = 0
-    return _CONTROL
+def _decode_unsupported(machine, instr):
+    def step(machine, state, thread, frame, visible_ok):
+        raise ExecutionError(f"model checker cannot execute {instr!r}")
+    return step
 
 
-def _h_free(machine, state, thread, frame, instr, visible_ok):
-    value = machine._value(frame, instr.pointer)
-    return _BLOCKED if type(value) is tuple else 0
-
-
-def _h_assert(machine, state, thread, frame, instr, visible_ok):
-    cond = machine._value(frame, instr.cond)
-    if type(cond) is tuple:
-        return _BLOCKED
-    if not cond:
-        raise ExecutionError(
-            f"assertion failed in @{frame.function.name}: "
-            f"{instr.message or instr!r}"
-        )
-    return 0
-
-
-def _h_print(machine, state, thread, frame, instr, visible_ok):
-    value = machine._value(frame, instr.value)
-    if type(value) is tuple:
-        return _BLOCKED
-    journal = machine.journal
-    if journal is not None:
-        journal.append((OP_OUT,))
-    state.output.append(value)
-    return 0
-
-
-# Exact-class dispatch table (isinstance fallback in _dispatch_generic).
-_HANDLERS = {
-    ins.BinOp: lambda m, s, t, f, i, v: m._do_binop(f, i),
-    ins.Load: lambda m, s, t, f, i, v: m._do_load(s, t, f, i, v),
-    ins.Store: lambda m, s, t, f, i, v: m._do_store(s, t, f, i, v),
-    ins.CondBr: _h_condbr,
-    ins.Br: _h_br,
-    ins.Gep: lambda m, s, t, f, i, v: m._do_gep(f, i),
-    ins.Alloca: lambda m, s, t, f, i, v: m._do_alloca(s, t, f, i),
-    ins.Cast: lambda m, s, t, f, i, v: m._value(f, i.value),
-    ins.Cmpxchg: lambda m, s, t, f, i, v: m._do_rmw(s, t, f, i, v),
-    ins.AtomicRMW: lambda m, s, t, f, i, v: m._do_rmw(s, t, f, i, v),
-    ins.Fence: lambda m, s, t, f, i, v: m._do_fence(t),
-    ins.Ret: lambda m, s, t, f, i, v: m._do_ret(s, t, f, i),
-    ins.Call: lambda m, s, t, f, i, v: m._do_call(s, t, f, i),
-    ins.ThreadCreate: lambda m, s, t, f, i, v: m._do_thread_create(s, t, f, i),
-    ins.ThreadJoin: lambda m, s, t, f, i, v: m._do_thread_join(s, f, i),
-    ins.Malloc: lambda m, s, t, f, i, v: m._do_malloc(s, f, i),
-    ins.Free: _h_free,
-    ins.Sleep: lambda m, s, t, f, i, v: 0,
-    ins.CompilerBarrier: lambda m, s, t, f, i, v: 0,
-    ins.AssertInst: _h_assert,
-    ins.PrintInst: _h_print,
+#: Instruction class -> decoder.  ``Machine._decode`` looks the exact
+#: class up and falls back to the first ``isinstance`` match in this
+#: order, so subclasses decode like their base class.
+_DECODERS = {
+    ins.BinOp: _decode_binop,
+    ins.Load: _decode_load,
+    ins.Store: _decode_store,
+    ins.CondBr: _decode_condbr,
+    ins.Br: _decode_br,
+    ins.Gep: _decode_gep,
+    ins.Alloca: _decode_alloca,
+    ins.Cast: _decode_cast,
+    ins.Cmpxchg: _decode_rmw,
+    ins.AtomicRMW: _decode_rmw,
+    ins.Fence: lambda machine, instr: _step_fence,
+    ins.Ret: _decode_ret,
+    ins.Call: _decode_call,
+    ins.ThreadCreate: _decode_thread_create,
+    ins.ThreadJoin: _decode_thread_join,
+    ins.Malloc: _decode_malloc,
+    ins.Free: _decode_free,
+    ins.Sleep: lambda machine, instr: _step_zero,
+    ins.CompilerBarrier: lambda machine, instr: _step_zero,
+    ins.AssertInst: _decode_assert,
+    ins.PrintInst: _decode_print,
 }
 
 

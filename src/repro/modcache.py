@@ -33,8 +33,9 @@ honest build times must leave it off.
 
 ``ATOMIG_CACHE_MAX_MB`` bounds both layers, each on its own: after
 every store the oldest entries by mtime are evicted from disk (LRU —
-disk hits refresh mtime) until the directory fits, and the in-memory
-layer drops its least recently used entries until its bytes fit.
+every hit, from memory or disk, refreshes mtime) until the directory
+fits, and the in-memory layer drops its least recently used entries
+until its bytes fit.
 Unset means unbounded, which is fine for one-shot CLI runs but turns
 into a leak under a long-lived daemon (:mod:`repro.serve`), so the
 serve quickstart sets it.  The memory layer is shared by the daemon's
@@ -142,11 +143,12 @@ def load(digest):
         except OSError:
             return None
         _memory_put(digest, blob)
-        try:
-            # Refresh mtime so size eviction is LRU, not FIFO.
-            os.utime(_entry_path(digest))
-        except OSError:
-            pass
+    try:
+        # Refresh mtime on memory hits too, so size eviction is LRU over
+        # every use: a source served from memory is the hottest entry.
+        os.utime(_entry_path(digest))
+    except OSError:
+        pass
     try:
         return pickle.loads(blob)
     except Exception:
@@ -209,7 +211,7 @@ def evict(max_bytes=None):
 
     ``max_bytes=None`` reads ``ATOMIG_CACHE_MAX_MB`` and is a no-op
     when unset, so one-shot CLI runs pay nothing.  Eviction is LRU by
-    mtime (:func:`load` touches entries on disk hits).  Returns the
+    mtime (:func:`load` touches entries on every hit).  Returns the
     number of entries removed; races with concurrent workers are
     benign — a vanished file is just skipped, and the entry would be
     recompiled on the next miss anyway.

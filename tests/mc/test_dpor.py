@@ -244,7 +244,7 @@ def test_stats_json_schema_and_provenance():
     source, _expected = LITMUS_TESTS["MP"]
     module = compile_source(source, "litmus_MP")
     result = check_module(module, model="wmm", por="dpor", **BOUNDS)
-    payload = json.loads(result.stats.to_json())
+    payload = json.loads(json.dumps(result.to_dict()))["stats"]
     assert payload["schema"] == ExplorationStats.SCHEMA == 4
     assert payload["por"] == "dpor"
     assert "engine" not in payload and "macro" not in payload

@@ -1,7 +1,10 @@
 """Tests for the exploration driver and its bounding behaviour."""
 
+import pytest
+
 from repro.api import compile_source
 from repro.mc.explorer import check_module, compare_models
+from repro.mc.machine import Machine
 
 
 def test_single_threaded_program_single_pass():
@@ -160,3 +163,18 @@ def test_missing_entry_function_is_reported():
     result = check_module(module, model="sc")
     assert not result.ok
     assert "initialization failed" in result.violation
+
+
+@pytest.mark.parametrize("por", ["none", "sleep", "dpor"])
+def test_internal_error_during_initialization_propagates(monkeypatch, por):
+    """A kernel or liveness bug while the root state quiesces is not a
+    program bug: it must not come back as an "initialization failed"
+    violation."""
+    module = compile_source("int main() { return 0; }")
+
+    def broken_quiescence(self, state):
+        raise KeyError("register lost by the env GC")
+
+    monkeypatch.setattr(Machine, "run_quiescence", broken_quiescence)
+    with pytest.raises(KeyError):
+        check_module(module, model="sc", por=por)

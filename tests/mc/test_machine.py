@@ -150,19 +150,19 @@ int main() {
         state = machine.initial_state()
         # Spin one iteration (commit the pending load, loop back): the
         # environment now holds the steady-state values.
-        machine.apply_action(state, machine.enabled_actions(state)[0])
+        machine.apply_action(state, machine.enabled_actions(state)[0][0])
         second = state.canonical()
         # Another full iteration reproduces the same canonical state,
         # despite fresh token ids — this is what makes spinloop
         # exploration finite.
-        machine.apply_action(state, machine.enabled_actions(state)[0])
+        machine.apply_action(state, machine.enabled_actions(state)[0][0])
         assert state.canonical() == second
 
     def test_clone_is_independent(self):
         machine = make_machine("int g;\nint main() { while (g == 0) { } return 0; }")
         state = machine.initial_state()
         copy = state.clone()
-        machine.apply_action(copy, machine.enabled_actions(copy)[0])
+        machine.apply_action(copy, machine.enabled_actions(copy)[0][0])
         assert state.canonical() == machine.initial_state().canonical()
 
 
@@ -181,7 +181,7 @@ int main() {
     # The thread must be blocked on the pending load of g.
     assert state.threads[0].status in ("blocked", "finished")
     while machine.enabled_actions(state):
-        machine.apply_action(state, machine.enabled_actions(state)[0])
+        machine.apply_action(state, machine.enabled_actions(state)[0][0])
     assert state.violation is None
     assert state.threads[0].status == "finished"
 

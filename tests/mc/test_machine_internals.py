@@ -17,7 +17,7 @@ def drive_to_end(machine, state):
         actions = machine.enabled_actions(state)
         if not actions:
             break
-        machine.apply_action(state, actions[0])
+        machine.apply_action(state, actions[0][0])
         guard += 1
         assert guard < 10_000
     return state
@@ -47,7 +47,7 @@ int main() {
         state = machine.initial_state()
         # Find and execute one thread's rmw (the exec action).
         actions = machine.enabled_actions(state)
-        rmw_actions = [a for a in actions if a[0] == "commit"]
+        rmw_actions = [a for a, _key in actions if a[0] == "commit"]
         assert rmw_actions
         machine.apply_action(state, rmw_actions[0])
         reserved = dict(state.reservations)
@@ -55,7 +55,7 @@ int main() {
             addr = next(iter(reserved))
             holder = reserved[addr]
             # No other thread may now commit a write to that address.
-            for action in machine.enabled_actions(state):
+            for action, _key in machine.enabled_actions(state):
                 if action[0] != "commit":
                     continue
                 tid = action[1]
@@ -93,7 +93,7 @@ int main() {
             actions = machine.enabled_actions(state)
             if not actions:
                 break
-            machine.apply_action(state, actions[0])
+            machine.apply_action(state, actions[0][0])
             guard += 1
             assert guard < 2000
         assert state.violation is None

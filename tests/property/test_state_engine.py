@@ -123,7 +123,7 @@ def test_undo_restores_bit_identical_states(name, model, steps):
         actions = machine.enabled_actions(state)
         if not actions:
             break
-        action = actions[choice % len(actions)]
+        action, _key = actions[choice % len(actions)]
 
         reference = state.clone()
         canon = state.canonical()
@@ -185,7 +185,7 @@ def test_digest_equality_matches_canonical_equality(name, model, choices):
         actions = machine.enabled_actions(state)
         if not actions:
             break
-        machine.apply_action(state, actions[choice % len(actions)])
+        machine.apply_action(state, actions[choice % len(actions)][0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,7 +228,7 @@ def test_multi_level_revert(name, model, root_writes, steps, depth):
         actions = machine.enabled_actions(state)
         if not actions:
             break
-        machine.apply_action(state, actions[choice % len(actions)])
+        machine.apply_action(state, actions[choice % len(actions)][0])
         _write_clocks(state, journal, writes)
         applied += 1
 

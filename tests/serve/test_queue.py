@@ -84,6 +84,17 @@ def test_execute_check_runs_models(port_payload):
     assert outcomes == {("sc", "ok"), ("wmm", "ok")}
 
 
+def test_check_rows_carry_stats_objects(port_payload):
+    result = execute_payload(
+        "check", port_payload(models=["wmm"],
+                              options={"max_steps": 400,
+                                       "robustness": False})
+    )
+    (row,) = result["checks"]
+    assert isinstance(row["stats"], dict), row
+    assert row["stats"]["states_explored"] == row["states_explored"] > 0
+
+
 def test_execute_rejects_unknown_options(port_payload):
     with pytest.raises(ValueError, match="unknown options"):
         execute_payload("port", port_payload(options={"bogus": 1}))

@@ -376,6 +376,19 @@ def test_check_json_output(mp_file, capsys, jobs):
     assert without_stats(rows) == without_stats(serial)
 
 
+def test_check_json_rows_carry_stats_objects(mp_file, capsys):
+    """Each row's ``stats`` is a JSON object, not a string holding one."""
+    argv = ["check", mp_file, "--models", "sc", "wmm", "--level",
+            "original", "--max-steps", "400", "--no-robustness", "--json"]
+    main(argv)
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 2
+    for row in rows:
+        assert isinstance(row["stats"], dict), row
+        assert row["stats"]["states_explored"] == row["states_explored"]
+        assert row["stats"]["por"] == "sleep"
+
+
 def test_litmus_unknown_name_diagnoses_on_stderr(capsys):
     assert main(["litmus", "NOPE"]) == 2
     captured = capsys.readouterr()

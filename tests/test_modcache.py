@@ -183,6 +183,33 @@ def test_disk_hit_refreshes_mtime_for_lru(isolated_cache):
     assert not os.path.exists(paths[1])
 
 
+def test_memory_hits_keep_the_disk_entry_fresh(isolated_cache,
+                                               monkeypatch):
+    """A source served from memory is the hottest entry, so the disk
+    layer's LRU must not evict it before an entry nobody asked for."""
+    digests = _fill(isolated_cache, 3)  # unbounded: measure the sizes
+    sizes = [len(modcache._memory[digest]) for digest in digests]
+    modcache.clear_memory_cache()
+    monkeypatch.setenv("ATOMIG_CACHE_DIR", str(isolated_cache / "lru"))
+    cap = sizes[0] + max(sizes[1], sizes[2])  # room for two entries
+    monkeypatch.setenv("ATOMIG_CACHE_MAX_MB", str((cap + 0.5) / 2 ** 20))
+    hot, cold, new = digests
+    assert _fill(isolated_cache, 2) == [hot, cold]
+    paths = {digest: os.path.join(str(isolated_cache / "lru"),
+                                  f"{digest}.pkl") for digest in digests}
+    # The hot entry is the older one on disk ...
+    os.utime(paths[hot], (1000, 1000))
+    os.utime(paths[cold], (1001, 1001))
+    # ... but every later use of it is a memory hit.
+    for _ in range(5):
+        assert hot in modcache._memory
+        assert modcache.load(hot) is not None
+    compile_source(SOURCE + "\n// variant 2\n", "m", cache=True)
+    assert os.path.exists(paths[new])
+    assert os.path.exists(paths[hot])
+    assert not os.path.exists(paths[cold])
+
+
 def test_store_evicts_when_env_set(isolated_cache, monkeypatch):
     monkeypatch.setenv("ATOMIG_CACHE_MAX_MB", "0.0001")  # ~105 bytes
     _fill(isolated_cache, 3)
