@@ -34,10 +34,10 @@ Construction, reusing the existing analyses:
   tso, whose store buffer they drain).
 - A pair is **delayable** when it is open and its endpoint orders do
   not enforce it: under wmm neither ``a`` acquires, nor ``b`` releases,
-  nor both are SC (exactly the machine's ``may_commit`` blocking
-  rules); under tso only plain-store -> load pairs delay.  Same-location
-  pairs are never delayable (per-location coherence holds in every
-  model here).
+  nor both are SC (exactly the ordering rules of the machine's
+  ``WMMModel.committable`` walk); under tso only plain-store -> load
+  pairs delay.  Same-location pairs are never delayable (per-location
+  coherence holds in every model here).
 - A **critical cycle** alternates po pairs with conflict edges (a
   thread may also contribute a single access, e.g. the IRIW writers).
   The module is non-robust iff some delayable pair closes such a
@@ -670,7 +670,7 @@ class RobustnessAnalyzer:
             return (a.kind == "store"
                     and a.order is not ins.MemoryOrder.SEQ_CST
                     and b.kind == "load")
-        # wmm: the machine's may_commit blocking rules, negated.
+        # wmm: the ordering rules of WMMModel.committable, negated.
         return not (a.acquires or b.releases or (a.is_sc and b.is_sc))
 
     def _orders_all_paths(self, instr):

@@ -61,8 +61,8 @@ Structure of the implementation:
   commit — the same-thread order chains), ``("wc", tid)`` (per
   window-slot, the event whose burst pushed that entry — a commit is
   forced after its entry's creation), ``("g",)`` (the escalation
-  chain: spawners, allocators, unclassifiable steps), ``("np", tid)``
-  (last non-pristine commit) and ``("b", tid)`` (the spawning event).
+  chain: spawners, allocators, unclassifiable steps) and ``("b",
+  tid)`` (the spawning event).
   Every table write is journaled through the ``OP_CLK`` opcode
   (:mod:`repro.mc.undo`) so :func:`~repro.mc.undo.revert` restores the
   table bit-identically.
@@ -250,13 +250,6 @@ def _edges(state, events, akey, fp, creation):
                 r for r in clocks.get(("ir", addr), ())
                 if events[r].tid != tid
             )
-    np = clocks.get(("np", tid))
-    if np is not None:
-        candidates.add(np)
-    if not akey[5]:  # non-pristine: entangled with all own commits
-        for key, idx in clocks.items():
-            if key[0] == "ta" and key[1] == tid:
-                candidates.add(idx)
     return forced, candidates
 
 
@@ -369,8 +362,6 @@ def _push_event(machine, state, events, akey, node_index, root_tids,
             cs(("w", addr), idx, journal)
             if clocks.get(("r", addr)):
                 cs(("r", addr), (), journal)
-        if not akey[5]:
-            cs(("np", tid), idx, journal)
     if escalated or (akey[0] == "v" and fp is None):
         cs(("g",), idx, journal)
     # Window-slot creation table: drop the committed slot, then

@@ -247,15 +247,16 @@ def _independent(key_a, key_b):
     at the later ``rmw_store`` commit) — but two rmw execs race for the
     reservation, so only load/load and load/rmw pairs are independent.
     Two commits of the *same* thread commute when they target different
-    addresses and neither entry holds a pending value: ``may_commit``
-    constraints only mention earlier window entries, so committing
-    either cannot disable the other, and their memory/resolution
-    effects are disjoint.  Visible steps depend on everything.
+    addresses: the model's commit rules (``MemoryModel.committable``)
+    only mention earlier window entries, so committing either cannot
+    disable the other, no enabled commit holds a pending value
+    (``Machine.enabled_actions``), and their memory/resolution effects
+    are disjoint.  Visible steps depend on everything.
     """
     if key_a[0] != "c" or key_b[0] != "c":
         return False
     if key_a[1] == key_b[1]:  # same thread
-        return key_a[3] != key_b[3] and key_a[5] and key_b[5]
+        return key_a[3] != key_b[3]
     if key_a[3] != key_b[3]:
         return True
     kinds = (key_a[2], key_b[2])

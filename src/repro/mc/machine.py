@@ -38,9 +38,6 @@ from repro.mc.encode import Interner, cell_hash, entry_code
 from repro.mc.undo import (
     OP_ALLOC,
     OP_CLK,
-    OP_ENV,
-    OP_FBLK,
-    OP_FIDX,
     OP_FPOP,
     OP_FPUSH,
     OP_FSWAP,
@@ -56,6 +53,7 @@ from repro.mc.undo import (
     OP_WADD,
     OP_WDEL,
     OP_WSET,
+    snapshot_frame,
     touch,
 )
 
@@ -289,7 +287,6 @@ class WindowEntry:
         "acq",
         "rel",
         "sc",
-        "pristine",
         "code",
         "_canon",
     )
@@ -313,11 +310,6 @@ class WindowEntry:
         self.acq = kind in ("load", "rmw") and order.has_acquire
         self.rel = kind in ("store", "rmw_store") and order.has_release
         self.sc = order is MemoryOrder.SEQ_CST
-        # No operand still pending (see Machine.enabled_actions).
-        self.pristine = not (
-            type(value) is tuple or type(rmw_operand) is tuple
-            or type(rmw_expected) is tuple or type(rmw_desired) is tuple
-        )
         self.code = entry_code(kind, addr, order, rmw_op, rmw_operand,
                                rmw_expected, rmw_desired)
         self._canon = None
@@ -329,9 +321,6 @@ class WindowEntry:
             self.token, self.rmw_op, self.rmw_operand, self.rmw_expected,
             self.rmw_desired,
         )
-
-    def value_pending(self):
-        return is_pending(self.value)
 
     def canonical(self, token_map):
         if self._canon is not None:
@@ -360,7 +349,7 @@ class Frame:
     """One activation record of the in-order issue stage."""
 
     __slots__ = ("function", "block", "index", "env", "alloca_addrs",
-                 "stack_base", "call_instr", "_skeys", "_salloc", "_iepoch")
+                 "stack_base", "call_instr", "_skeys", "_salloc", "_fepoch")
 
     def __init__(self, function, call_instr=None):
         self.function = function
@@ -374,9 +363,9 @@ class Frame:
         # the respective key *set* changes (value overwrites keep them).
         self._skeys = None
         self._salloc = None
-        # Journal epoch of the last OP_FIDX/OP_FBLK record for this
-        # frame: one record per action restores the whole index run.
-        self._iepoch = 0
+        # Journal epoch of the frame's last OP_FRAME snapshot
+        # (undo.snapshot_frame): one record per action restores it.
+        self._fepoch = 0
 
     def clone(self):
         copy = Frame.__new__(Frame)
@@ -389,10 +378,11 @@ class Frame:
         copy.call_instr = self.call_instr
         copy._skeys = self._skeys
         copy._salloc = self._salloc
-        # A COW clone swapped in mid-action inherits the epoch: the
-        # OP_FSWAP record restores the *original* frame wholesale, so
-        # the clone's own index mutations never need journaling.
-        copy._iepoch = self._iepoch
+        # A COW clone inherits the epoch: when it is swapped in after
+        # the original's snapshot, the OP_FSWAP record restores the
+        # *original* frame wholesale, so the clone's own mutations
+        # never need journaling.
+        copy._fepoch = self._fepoch
         return copy
 
 
@@ -494,12 +484,14 @@ class State:
         self.token_counter = 0
         self.mem_hash = 0  # Zobrist XOR over non-zero, non-pending cells
         self.pending_mem = {}  # addr -> token for pending-valued cells
-        # Monotone counter bumped on every event that could unblock a
-        # stuck thread: any memory mutation (including undo restores)
-        # and any thread entering FINISHED/LIMIT (what joins wait on).
-        # A blocked thread whose last failed probe recorded the current
-        # value (``Thread._bepoch``) is provably still stuck and its
-        # re-probe is skipped (``Machine.run_quiescence``).
+        # Monotone counter of the events that can unblock a stuck thread
+        # other than a change of its own content: a thread entering
+        # FINISHED/LIMIT and the revert of a status change (joins wait
+        # on these).  Memory writes do not count: no step blocks on
+        # memory contents (``Machine.run_quiescence``).  A blocked
+        # thread whose last failed probe recorded the current value
+        # (``Thread._bepoch``) is provably still stuck and its re-probe
+        # is skipped.
         self.probe_epoch = 0
         # Happens-before bookkeeping for the DPOR backend
         # (:mod:`repro.mc.dpor`): event-index table keyed by
@@ -555,7 +547,6 @@ class State:
             if journal is not None:
                 journal.append((OP_MEM, addr, False, None))
             memory[addr] = value
-            self.probe_epoch += 1
             if type(value) is tuple:
                 self.pending_mem[addr] = value[1]
             elif value != 0:
@@ -566,7 +557,6 @@ class State:
         if journal is not None:
             journal.append((OP_MEM, addr, True, old))
         memory[addr] = value
-        self.probe_epoch += 1
         if type(old) is tuple:
             del self.pending_mem[addr]
         elif old != 0:
@@ -581,7 +571,6 @@ class State:
         old = self.memory.pop(addr, _ABSENT)
         if old is _ABSENT:
             return
-        self.probe_epoch += 1
         if journal is not None:
             journal.append((OP_MEM, addr, True, old))
         if type(old) is tuple:
@@ -591,7 +580,6 @@ class State:
 
     def _mem_restore(self, addr, had, old):
         """Inverse of one journaled memory mutation (undo.revert)."""
-        self.probe_epoch += 1  # a restore changes memory like any write
         memory = self.memory
         current = memory.get(addr, _ABSENT)
         if current is not _ABSENT:
@@ -709,9 +697,9 @@ class Machine:
         self._codes = {}
         # Journal epoch: bumped once per applied action.  Between two
         # epoch bumps the explorer never takes a revert mark, so one
-        # OP_STEPS/OP_FIDX record per (thread/frame, epoch) restores
-        # the whole run of increments — the journal shrinks from one
-        # record per executed instruction to one per action.
+        # OP_STEPS record per (thread, epoch) and one OP_FRAME snapshot
+        # per (frame, epoch) restore every write of the action — the
+        # journal grows per action, not per executed instruction.
         self._epoch = 0
 
     # -- construction -----------------------------------------------------
@@ -762,22 +750,37 @@ class Machine:
         would only invalidate digest caches and grow the journal.  The
         probe itself is status-blind (``_run`` only refuses
         finished/limited threads), which is what lets a previously
-        blocked thread advance once memory or a window changed.
+        blocked thread advance once its window or a join target changed.
 
-        A probe can only be unblocked by *someone else's* progress
-        (memory writes, token resolutions, threads finishing — all of
-        which happen inside a progressing burst), so each thread records
-        the quiescence "version" it last probed at and is skipped while
-        the version is unchanged: the usual no-progress confirmation
-        round costs one probe instead of one per thread.
+        Within one call, a failed probe can only turn into progress
+        after *someone else's* progress, so each thread records the
+        quiescence "version" it last probed at and is skipped while the
+        version is unchanged: the usual no-progress confirmation round
+        costs one probe instead of one per thread.
 
         Across calls, ``Thread._bepoch`` memoizes a failed probe against
-        ``State.probe_epoch``: a blocked probe's outcome depends only on
-        memory cells, FINISHED/LIMIT transitions of other threads (both
-        bump the epoch) and the thread's own content (whose every
-        mutation clears the memo via ``undo.touch``), so while the two
-        match the thread is provably still stuck and is not re-probed —
-        a pure load-commit macro run re-probes nobody.
+        ``State.probe_epoch`` and is dropped only by an event that can
+        change that probe's result.  Every ``_BLOCKED`` a step returns
+        depends on the thread's own pending operands, its own window
+        (the limit, a fence, a drain) or a join target's status; lazy
+        wmm loads read memory only when they commit, private accesses
+        never block, and immediate sc/tso accesses return ``_VISIBLE``
+        whatever memory holds.  So two rules keep the memo exact:
+
+        - Own content: every mutation of it clears the memo
+          (``undo.touch``).  A ``store`` or ``rmw_store`` commit
+          resolves no token, so it can only lift a block by freeing a
+          slot of a full window or by emptying the window; otherwise
+          ``_commit`` re-memoizes the thread as stuck.  Load and
+          rmw-exec commits resolve tokens and keep the re-probe.
+        - Others: ``State.probe_epoch`` counts a thread entering
+          FINISHED or LIMIT and the revert of a status change — what
+          joins wait on.  Memory writes and their reverts do not bump
+          it: no probe reads memory before it blocks.
+
+        While the memo matches the epoch the thread is provably still
+        stuck and is not re-probed: a pure load-commit macro run, or a
+        store commit, re-probes nobody else.
         """
         version = 0
         probed = {}
@@ -804,24 +807,26 @@ class Machine:
 
         ``key`` is the action's stable identity, carrying the data the
         explorers' independence test needs.  A visible step is
-        ``("v", tid)``.  A commit is ``("c", tid, kind, addr, rank,
-        pristine)``, where rank counts the earlier window entries of the
-        same ``(kind, addr)`` — *not* the window index, which shifts
-        when the same thread commits an earlier (independent) entry —
-        and is kept as one running count per ``(kind, addr)`` while the
-        window is walked.  Keys are canonical-stable: two concrete
-        states with equal :meth:`State.canonical` forms assign every
-        enabled action the same key, so sleep sets stored with visited
-        states stay meaningful on revisits.  A key can only go stale
-        through a *dependent* action (same thread + same address, or a
-        visible step of the thread), which removes it from every sleep
-        set first.  ``pristine`` is false while the entry still holds
-        an unresolved pending value (such entries mutate when the
-        thread commits the feeding load, so they are treated as
-        dependent on everything same-thread).
+        ``("v", tid)``.  A commit is ``("c", tid, kind, addr)``: the
+        model's one walk over the window (``MemoryModel.committable``)
+        lets at most one entry per address commit — wmm refuses any
+        entry with an earlier same-address entry, sc and tso commit only
+        the head — so the key names one entry, and *not* by its window
+        index, which shifts when the same thread commits an earlier
+        (independent) entry.  Every committable entry's operands are
+        resolved (a store holding a pending value may not commit, and
+        RMW steps block until their operands resolve), so no key needs
+        to say whether the entry can still change.  Keys are
+        canonical-stable: two concrete states with equal
+        :meth:`State.canonical` forms assign every enabled action the
+        same key, so sleep sets stored with visited states stay
+        meaningful on revisits.  A key can only go stale through a
+        *dependent* action (same thread + same address, or a visible
+        step of the thread), which removes it from every sleep set
+        first.
         """
         pairs = []
-        may_commit = self.ctx.model.may_commit
+        committable = self.ctx.model.committable
         reservations = state.reservations
         for tid, thread in state.threads.items():
             if thread.status == READY:
@@ -829,21 +834,15 @@ class Machine:
             window = thread.window
             if not window:
                 continue
-            ranks = {}
-            for index, entry in enumerate(window):
+            for index in committable(window):
+                entry = window[index]
                 kind = entry.kind
                 addr = entry.addr
-                same = (kind, addr)
-                rank = ranks.get(same, 0)
-                ranks[same] = rank + 1
-                if not may_commit(window, index):
-                    continue
                 if kind != "load":
                     reserved_by = reservations.get(addr)
                     if reserved_by is not None and reserved_by != tid:
                         continue
-                pairs.append((("commit", tid, index),
-                              ("c", tid, kind, addr, rank, entry.pristine)))
+                pairs.append((("commit", tid, index), ("c", tid, kind, addr)))
         return pairs
 
     def apply_action(self, state, action):
@@ -963,42 +962,43 @@ class Machine:
         journal = self.journal
         thread = state.threads[tid]
         touch(journal, thread)
-        entry = thread.window[index]
+        window = thread.window
+        entry = window[index]
         kind = entry.kind
         if kind == "load":
             value = state.memory.get(entry.addr, 0)
             if journal is not None:
                 journal.append((OP_WDEL, thread, index, entry))
-            del thread.window[index]
+            del window[index]
             self._resolve(state, thread, entry.token, value)
             if state.trace_len < TRACE_CAP:
                 state.log(f"T{tid} commit load @{entry.addr} -> {value}",
                           journal)
-        elif kind == "store":
-            state.mem_write(entry.addr, entry.value, journal)
-            if journal is not None:
-                journal.append((OP_WDEL, thread, index, entry))
-            del thread.window[index]
-            if state.trace_len < TRACE_CAP:
-                state.log(f"T{tid} commit store @{entry.addr} = {entry.value}",
-                          journal)
         elif kind == "rmw":
             self._exec_rmw(state, thread, entry, index)
-        else:  # rmw_store
-            state.mem_write(entry.addr, entry.value, journal)
-            if journal is not None:
-                journal.append((OP_RES, entry.addr,
-                                entry.addr in state.reservations,
-                                state.reservations.get(entry.addr)))
-            state.reservations.pop(entry.addr, None)
+        else:  # store / rmw_store
+            addr = entry.addr
+            state.mem_write(addr, entry.value, journal)
+            if kind == "rmw_store":
+                if journal is not None:
+                    journal.append((OP_RES, addr, addr in state.reservations,
+                                    state.reservations.get(addr)))
+                state.reservations.pop(addr, None)
+            full = len(window) == self.ctx.model.window_limit
             if journal is not None:
                 journal.append((OP_WDEL, thread, index, entry))
-            del thread.window[index]
+            del window[index]
             if state.trace_len < TRACE_CAP:
-                state.log(
-                    f"T{tid} commit rmw-store @{entry.addr} = {entry.value}",
-                    journal)
-        if thread.status == FINISHING and not thread.window:
+                label = "store" if kind == "store" else "rmw-store"
+                state.log(f"T{tid} commit {label} @{addr} = {entry.value}",
+                          journal)
+            if window and not full:
+                # Resolved no token, freed no slot of a full window, left
+                # the window non-empty: the thread is as stuck as before
+                # (run_quiescence).
+                thread._bepoch = state.probe_epoch
+                return
+        if thread.status == FINISHING and not window:
             self._set_status(state, thread, FINISHED)
 
     def _exec_rmw(self, state, thread, entry, index):
@@ -1046,12 +1046,11 @@ class Machine:
         for index, frame in enumerate(thread.frames):
             if any(held == pending for held in frame.env.values()):
                 frame = thread.mutable_frame_at(index, journal)
+                if journal is not None and frame._fepoch != self._epoch:
+                    snapshot_frame(journal, thread, frame, self._epoch)
                 env = frame.env
                 for key, held in env.items():
                     if held == pending:
-                        if journal is not None:
-                            journal.append(
-                                (OP_ENV, thread, frame, key, True, held))
                         env[key] = value
         window = thread.window
         for index, entry in enumerate(window):
@@ -1112,9 +1111,9 @@ class Machine:
         else:
             frame = thread.mutable_frame_at(top, journal)
         code = codes.get(frame.block) or self._decode(frame.block)
-        # Journal epoch: one OP_FIDX record per (frame, epoch) restores
-        # the frame's whole index run (see __init__).
-        indexed = journal is None or frame._iepoch == epoch
+        # Journal epoch: one OP_FRAME snapshot per (frame, epoch)
+        # restores the frame's every write of the action (see __init__).
+        snapped = journal is None or frame._fepoch == epoch
         progressed = False
         steps = thread.steps
         try:
@@ -1146,6 +1145,13 @@ class Machine:
                         journal.append((OP_STEPS, thread, steps))
                     touch(journal, thread)
                 steps += 1
+                # The frame's first write of the action: the env GC, the
+                # result or the index bump (a branch step snapshots its
+                # frame itself; a ret writes the caller, never ``frame``).
+                if not snapped and (dies or result is not _CONTROL):
+                    snapped = True
+                    if frame._fepoch != epoch:
+                        snapshot_frame(journal, thread, frame, epoch)
                 # Env GC: the operands whose last use this instruction
                 # was are unreadable from here on — drop them (Ret has
                 # an empty list; its popped frame may be shared and
@@ -1153,10 +1159,7 @@ class Machine:
                 if dies:
                     env = frame.env
                     for dkey in dies:
-                        old = env.pop(dkey, _ABSENT)
-                        if old is not _ABSENT and journal is not None:
-                            journal.append(
-                                (OP_ENV, thread, frame, dkey, True, old))
+                        env.pop(dkey, None)
                     frame._skeys = None
                 if result is _CONTROL:
                     # Branch/call/ret moved the PC: refetch the frame.
@@ -1168,21 +1171,13 @@ class Machine:
                     else:
                         frame = thread.mutable_frame_at(top, journal)
                     code = codes.get(frame.block) or self._decode(frame.block)
-                    indexed = journal is None or frame._iepoch == epoch
+                    snapped = journal is None or frame._fepoch == epoch
                     continue
                 if keep:  # never-read results are skipped entirely
                     env = frame.env
-                    had = key in env
-                    if journal is not None:
-                        journal.append((OP_ENV, thread, frame, key, had,
-                                        env.get(key)))
-                    if not had:
+                    if key not in env:
                         frame._skeys = None
                     env[key] = result
-                if not indexed:
-                    indexed = True
-                    frame._iepoch = epoch
-                    journal.append((OP_FIDX, thread, frame, frame.index))
                 frame.index += 1
         except KeyError as error:
             # An operand no step can evaluate reads an env key that is
@@ -1571,11 +1566,8 @@ def _branch_step(ckey, cvalue, true_block, false_block):
             return _BLOCKED
         journal = machine.journal
         touch(journal, thread)
-        if journal is not None:
-            journal.append((OP_FBLK, thread, frame, frame.block, frame.index))
-            # The block record restores the index too: no OP_FIDX needed
-            # for the rest of this epoch's run in the new block.
-            frame._iepoch = machine._epoch
+        if journal is not None and frame._fepoch != machine._epoch:
+            snapshot_frame(journal, thread, frame, machine._epoch)
         frame.block = true_block if cond else false_block
         frame.index = 0
         return _CONTROL
@@ -1606,22 +1598,15 @@ def _decode_ret(machine, instr):
                                 FINISHING if thread.window else FINISHED)
             return _CONTROL
         caller = thread.mutable_frame(journal)
+        if journal is not None and caller._fepoch != machine._epoch:
+            snapshot_frame(journal, thread, caller, machine._epoch)
         call_instr = frame.call_instr
         if call_instr is not None and id(call_instr) not in machine.ctx.unused:
             key = id(call_instr)
             env = caller.env
-            had = key in env
-            if journal is not None:
-                journal.append((OP_ENV, thread, caller, key, had,
-                                env.get(key)))
-            if not had:
+            if key not in env:
                 caller._skeys = None
             env[key] = value
-        if journal is not None:
-            epoch = machine._epoch
-            if caller._iepoch != epoch:
-                caller._iepoch = epoch
-                journal.append((OP_FIDX, thread, caller, caller.index))
         caller.index += 1
         return _CONTROL
     return step
@@ -1646,6 +1631,8 @@ def _decode_call(machine, instr):
                 f"call-stack overflow in @{frame.function.name}"
             )
         callee_frame = Frame(callee, call_instr=instr)
+        # Born in this action: OP_FPUSH undoes it wholesale.
+        callee_frame._fepoch = machine._epoch
         callee_frame.stack_base = thread.stack_top
         callee_env = callee_frame.env
         for param, value in zip(params, values):
@@ -1678,6 +1665,7 @@ def _decode_thread_create(machine, instr):
             journal.append((OP_TNEW, tid))
         state.next_tid = tid + 1
         new_frame = Frame(callee)
+        new_frame._fepoch = machine._epoch  # OP_TNEW undoes it wholesale
         new_thread = Thread(tid, new_frame)
         if param is not None:
             new_frame.env[param] = 0 if arg is None else arg

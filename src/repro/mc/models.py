@@ -4,8 +4,8 @@ A model decides three things:
 
 - whether a shared load / store / RMW executes *immediately* at issue or
   enters the thread's pending window;
-- which pending window entries may commit, given everything earlier in
-  program order;
+- which pending window entries may commit now, given everything earlier
+  in program order (``committable``, one walk over the window);
 - which instructions must wait for an empty window (fences, TSO-locked
   operations).
 """
@@ -30,18 +30,19 @@ class MemoryModel:
     def store_requires_drain(self, order):
         return False
 
-    def may_commit(self, window, index):
-        """May ``window[index]`` commit given earlier pending entries?"""
-        raise NotImplementedError
+    def committable(self, window):
+        """Indices of the entries of ``window`` that may commit now.
+
+        Program order is commit order unless a model says otherwise:
+        only the head may commit.
+        """
+        return [0] if window else []
 
 
 class SCModel(MemoryModel):
     """Sequential consistency: program order is commit order."""
 
     name = "sc"
-
-    def may_commit(self, window, index):
-        return index == 0
 
 
 class TSOModel(MemoryModel):
@@ -60,9 +61,6 @@ class TSOModel(MemoryModel):
         from repro.ir.instructions import MemoryOrder
 
         return order is MemoryOrder.SEQ_CST
-
-    def may_commit(self, window, index):
-        return index == 0  # FIFO
 
 
 class WMMModel(MemoryModel):
@@ -87,22 +85,28 @@ class WMMModel(MemoryModel):
     def rmw_requires_drain(self):
         return False
 
-    def may_commit(self, window, index):
-        entry = window[index]
-        if entry.kind == "store" and entry.value_pending():
-            return False  # the stored value comes from an uncommitted load
-        if index and entry.rel:
-            return False  # release: waits for everything earlier
-        addr = entry.addr
-        sc = entry.sc
-        for earlier in window[:index]:
-            if earlier.addr == addr:
-                return False  # coherence: same-location program order
-            if earlier.acq:
-                return False  # acquire: later ops wait
-            if sc and earlier.sc:
-                return False  # SC total order respects program order
-        return True
+    def committable(self, window):
+        """One walk, tracking the earlier entries' addresses and whether
+        one of them was SC; it stops after the first acquire entry,
+        which nothing later may overtake."""
+        indices = []
+        earlier = set()
+        earlier_sc = False
+        for index, entry in enumerate(window):
+            addr = entry.addr
+            if not (
+                addr in earlier  # coherence: same-location program order
+                or (entry.sc and earlier_sc)  # SC-SC program order
+                or (index and entry.rel)  # release: waits for everything
+                # The stored value comes from an uncommitted load.
+                or (entry.kind == "store" and type(entry.value) is tuple)
+            ):
+                indices.append(index)
+            if entry.acq:
+                break  # acquire: later ops wait
+            earlier.add(addr)
+            earlier_sc = earlier_sc or entry.sc
+        return indices
 
 
 MEMORY_MODELS = {

@@ -14,6 +14,11 @@ bit-identically — including the incremental-digest caches:
 - ``OP_MEM`` records are replayed through ``State._mem_restore`` so the
   Zobrist memory hash and the pending-cell index roll back with the
   memory image.
+- ``OP_FRAME`` snapshots a frame's block, index, env (copied once) and
+  sorted-key cache at the frame's first mutation in an action
+  (:func:`snapshot_frame`): one record restores every env write,
+  env-GC delete, index bump and branch of that action, and revert
+  rebinds ``frame.env`` to the copy, which nothing else holds.
 
 Records are plain tuples ``(opcode, ...)`` with interned int opcodes;
 the revert loop is a frequency-ordered compare chain.  The protocol is
@@ -22,28 +27,27 @@ action, ``revert(state, journal, mark)`` afterwards — which is exactly
 the DFS discipline (LIFO) of the explorer.
 """
 
-# Opcodes, ordered roughly by expected frequency.
-OP_ENV = 0      # (op, thread, frame, key, had, old)     env write
-OP_FIDX = 1     # (op, thread, frame, old_index)         index bump
-OP_STEPS = 2    # (op, thread, old_steps)                step budget
-OP_FBLK = 3     # (op, thread, frame, old_block, old_index)  branch taken
-OP_MEM = 4      # (op, addr, had, old)                   memory cell
-OP_WADD = 5     # (op, thread)                           window append
-OP_WDEL = 6     # (op, thread, index, entry)             window delete
-OP_WSET = 7     # (op, thread, index, old_entry)         window replace
-OP_STATUS = 8   # (op, thread, old_status)               status change
-OP_ENC = 9      # (op, thread, old_enc)                  digest-cache snapshot
-OP_SSET = 10    # (op, attr, old)                        State scalar attr
-OP_TRACE = 11   # (op,)                                  trace append
-OP_RES = 12     # (op, addr, had, old)                   reservation
-OP_FPUSH = 13   # (op, thread)                           frame push (call)
-OP_FPOP = 14    # (op, thread, frame, owned)             frame pop (ret)
-OP_STACK = 15   # (op, thread, old_stack_top)            stack bump
-OP_ALLOC = 16   # (op, thread, frame, key)               alloca registered
-OP_TNEW = 17    # (op, tid)                              thread spawned
-OP_OUT = 18     # (op,)                                  output append
-OP_FSWAP = 19   # (op, thread, index, old_frame)         COW frame clone
-OP_CLK = 20     # (op, key, had, old)                    DPOR clock entry
+# Opcodes, ordered by frequency (records reverted over a corpus pass).
+OP_MEM = 0      # (op, addr, had, old)                   memory cell
+OP_TRACE = 1    # (op,)                                  trace append
+OP_WDEL = 2     # (op, thread, index, entry)             window delete
+OP_ENC = 3      # (op, thread, old_enc)                  digest-cache snapshot
+OP_WADD = 4     # (op, thread)                           window append
+OP_FRAME = 5    # (op, thread, frame, block, index, env, skeys, fepoch)
+                #                                        frame snapshot
+OP_SSET = 6     # (op, attr, old)                        State scalar attr
+OP_STEPS = 7    # (op, thread, old_steps)                step budget
+OP_RES = 8      # (op, addr, had, old)                   reservation
+OP_STACK = 9    # (op, thread, old_stack_top)            stack bump
+OP_ALLOC = 10   # (op, thread, frame, key)               alloca registered
+OP_WSET = 11    # (op, thread, index, old_entry)         window replace
+OP_FPOP = 12    # (op, thread, frame, owned)             frame pop (ret)
+OP_STATUS = 13  # (op, thread, old_status)               status change
+OP_FPUSH = 14   # (op, thread)                           frame push (call)
+OP_TNEW = 15    # (op, tid)                              thread spawned
+OP_OUT = 16     # (op,)                                  output append
+OP_FSWAP = 17   # (op, thread, index, old_frame)         COW frame clone
+OP_CLK = 18     # (op, key, had, old)                    DPOR clock entry
 
 
 def revert(state, journal, mark):
@@ -57,72 +61,39 @@ def revert(state, journal, mark):
     while len(journal) > mark:
         record = journal.pop()
         op = record[0]
-        if op == OP_ENV:
-            _, thread, frame, key, had, old = record
-            env = frame.env
-            if had:
-                if key not in env:
-                    frame._skeys = None  # undoing an env-GC delete
-                env[key] = old
-            else:
-                del env[key]
-                frame._skeys = None  # key set changed
-            thread._enc = None
-        elif op == OP_FIDX:
-            _, thread, frame, old_index = record
-            frame.index = old_index
-            thread._enc = None
-        elif op == OP_STEPS:
-            record[1].steps = record[2]
-        elif op == OP_FBLK:
-            _, thread, frame, old_block, old_index = record
-            frame.block = old_block
-            frame.index = old_index
-            thread._enc = None
-        elif op == OP_MEM:
+        if op == OP_MEM:
             state._mem_restore(record[1], record[2], record[3])
-        elif op == OP_WADD:
-            thread = record[1]
-            thread.window.pop()
-            thread._enc = None
+        elif op == OP_TRACE:
+            state.trace_tail = state.trace_tail[0]
+            state.trace_len -= 1
         elif op == OP_WDEL:
             _, thread, index, entry = record
             thread.window.insert(index, entry)
             thread._enc = None
-        elif op == OP_WSET:
-            _, thread, index, old_entry = record
-            thread.window[index] = old_entry
-            thread._enc = None
-        elif op == OP_STATUS:
-            thread = record[1]
-            thread.status = record[2]
-            thread._enc = None
-            # May leave or re-enter FINISHED/LIMIT: joins waiting on
-            # this thread must be re-probed either way.
-            state.probe_epoch += 1
         elif op == OP_ENC:
             record[1]._enc = record[2]
+        elif op == OP_WADD:
+            thread = record[1]
+            thread.window.pop()
+            thread._enc = None
+        elif op == OP_FRAME:
+            _, thread, frame, block, index, env, skeys, fepoch = record
+            frame.block = block
+            frame.index = index
+            frame.env = env  # the snapshot's own copy: nothing else holds it
+            frame._skeys = skeys
+            frame._fepoch = fepoch
+            thread._enc = None
         elif op == OP_SSET:
             setattr(state, record[1], record[2])
-        elif op == OP_TRACE:
-            state.trace_tail = state.trace_tail[0]
-            state.trace_len -= 1
+        elif op == OP_STEPS:
+            record[1].steps = record[2]
         elif op == OP_RES:
             _, addr, had, old = record
             if had:
                 state.reservations[addr] = old
             else:
                 state.reservations.pop(addr, None)
-        elif op == OP_FPUSH:
-            thread = record[1]
-            thread.frames.pop()
-            thread.owned.pop()
-            thread._enc = None
-        elif op == OP_FPOP:
-            _, thread, frame, owned = record
-            thread.frames.append(frame)
-            thread.owned.append(owned)
-            thread._enc = None
         elif op == OP_STACK:
             thread = record[1]
             thread.stack_top = record[2]
@@ -131,6 +102,27 @@ def revert(state, journal, mark):
             _, thread, frame, key = record
             del frame.alloca_addrs[key]
             frame._salloc = None  # key set changed
+            thread._enc = None
+        elif op == OP_WSET:
+            _, thread, index, old_entry = record
+            thread.window[index] = old_entry
+            thread._enc = None
+        elif op == OP_FPOP:
+            _, thread, frame, owned = record
+            thread.frames.append(frame)
+            thread.owned.append(owned)
+            thread._enc = None
+        elif op == OP_STATUS:
+            thread = record[1]
+            thread.status = record[2]
+            thread._enc = None
+            # May leave or re-enter FINISHED/LIMIT: joins waiting on
+            # this thread must be re-probed either way.
+            state.probe_epoch += 1
+        elif op == OP_FPUSH:
+            thread = record[1]
+            thread.frames.pop()
+            thread.owned.pop()
             thread._enc = None
         elif op == OP_TNEW:
             del state.threads[record[1]]
@@ -153,6 +145,22 @@ def revert(state, journal, mark):
                 state.clocks.pop(key, None)
         else:  # pragma: no cover - opcode set is closed
             raise AssertionError(f"unknown journal opcode {op}")
+
+
+def snapshot_frame(journal, thread, frame, epoch):
+    """Journal ``frame`` once for action ``epoch``, before its first
+    block, index or env mutation in that action.
+
+    Callers test ``frame._fepoch != epoch`` first.  The record holds a
+    copy of the env, so the frame keeps mutating its own dict; revert
+    rebinds the copy and restores the block, index, sorted-key cache
+    and ``_fepoch`` with it.  Between two epoch bumps the explorer
+    takes no revert mark, so one record per (frame, epoch) restores
+    every mutation of the action.
+    """
+    journal.append((OP_FRAME, thread, frame, frame.block, frame.index,
+                    dict(frame.env), frame._skeys, frame._fepoch))
+    frame._fepoch = epoch
 
 
 def touch(journal, thread):

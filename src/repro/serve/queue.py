@@ -368,7 +368,11 @@ class JobDaemon:
         """
         if self._stop.is_set():
             raise RuntimeError("daemon is shutting down")
-        job_tasks(kind, payload)  # validate early: HTTP 400, not a failed job
+        # Validate early: HTTP 400, not a failed or mis-ordered job.
+        if type(priority) is not int:  # a bool is not a priority either
+            raise ValueError(
+                f"priority must be an integer, not {priority!r}")
+        job_tasks(kind, payload)
         key = job_dedup_key(kind, payload)
         with self._cond:
             cached = self._records.get(self._dedup.get(key))

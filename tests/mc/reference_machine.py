@@ -1,15 +1,31 @@
-"""The model checker's handler-dispatch interpreter, kept as a test oracle.
+"""Slower originals of three model-checker rules, kept as a test oracle.
 
-``ReferenceMachine`` is :class:`repro.mc.machine.Machine` with the
-interpreter the decoded kernel replaced: ``_run`` fetches
-``frame.block.instructions[frame.index]`` and dispatches it through an
-exact-class handler table (an ``isinstance`` scan for subclasses), and
-every handler evaluates its operands through ``_value``.  Its
-``enabled_actions`` ranks each commit by re-scanning the window before
-it, as the explorer's former ``_action_key`` did.  Everything else
-(commits, quiescence, journaling, footprints) is inherited, so a
-difference in any exploration result between the two machines points
-at the decoded steps or the one-pass action keys.
+``ReferenceMachine`` is :class:`repro.mc.machine.Machine` with three
+rules of the production machine replaced by their slower originals:
+
+- **Interpretation.**  ``_run`` fetches
+  ``frame.block.instructions[frame.index]`` and dispatches it through
+  an exact-class handler table (an ``isinstance`` scan for
+  subclasses), and every handler evaluates its operands through
+  ``_value``, where the production machine runs decoded step closures.
+  It journals through the same ``OP_FRAME`` snapshots.
+- **Commit rule and keys.**  ``enabled_actions`` asks the per-index
+  commit rule (:func:`may_commit`) about every window entry, where the
+  production machine walks each window once
+  (``MemoryModel.committable``), and ranks each commit by re-scanning
+  the window before it.  ``_action_key`` asserts that every enabled
+  commit has rank 0 and no pending operand, which is why the production
+  keys can leave both out.
+- **Wake-ups.**  ``run_quiescence`` is a memo-free fixpoint: each round
+  probes every RUN, BLOCKED and READY thread, ignoring
+  ``Thread._bepoch``, until a round makes no progress, where the
+  production machine skips the threads whose failed probe nothing has
+  invalidated since.
+
+Everything else (commits, footprints, the undo journal) is inherited,
+so a difference in any exploration result between the two machines
+points at the decoded steps, the commit walk and its keys, or the
+wake-up rules.
 """
 
 from repro.ir import instructions as ins
@@ -26,6 +42,7 @@ from repro.mc.machine import (
     FINISHING,
     LIMIT,
     READY,
+    RUN,
     TRACE_CAP,
     ExecutionError,
     Frame,
@@ -34,12 +51,10 @@ from repro.mc.machine import (
     WindowEntry,
     _main_closure,
     _rmw_compute,
+    is_pending,
 )
 from repro.mc.undo import (
     OP_ALLOC,
-    OP_ENV,
-    OP_FBLK,
-    OP_FIDX,
     OP_FPOP,
     OP_FPUSH,
     OP_OUT,
@@ -48,6 +63,7 @@ from repro.mc.undo import (
     OP_STEPS,
     OP_TNEW,
     OP_WADD,
+    snapshot_frame,
     touch,
 )
 
@@ -72,6 +88,17 @@ class ReferenceMachine(Machine):
                         self._opvals[id(operand)] = (
                             context.global_addr[operand.name])
 
+    def run_quiescence(self, state):
+        """Memo-free fixpoint: each round probes every RUN, BLOCKED and
+        READY thread until a round makes no progress."""
+        progressed = True
+        while progressed and state.violation is None:
+            progressed = False
+            for thread in list(state.threads.values()):
+                if thread.status in (RUN, BLOCKED, READY):
+                    if self._burst(state, thread):
+                        progressed = True
+
     def enabled_actions(self, state):
         """Scheduler choices paired with their keys, each commit ranked
         by a re-scan of the window entries before it."""
@@ -80,14 +107,14 @@ class ReferenceMachine(Machine):
 
     def _actions(self, state):
         actions = []
-        may_commit = self.ctx.model.may_commit
+        model = self.ctx.model
         reservations = state.reservations
         for tid, thread in state.threads.items():
             if thread.status == READY:
                 actions.append(("visible", tid))
             window = thread.window
             for index, entry in enumerate(window):
-                if not may_commit(window, index):
+                if not may_commit(model, window, index):
                     continue
                 if entry.kind != "load":
                     reserved_by = reservations.get(entry.addr)
@@ -167,12 +194,11 @@ class ReferenceMachine(Machine):
                 dies = dies_get(key)
                 if dies:
                     touch(journal, thread)
+                    if journal is not None and frame._fepoch != epoch:
+                        snapshot_frame(journal, thread, frame, epoch)
                     env = frame.env
                     for dkey in dies:
-                        old = env.pop(dkey, _ABSENT)
-                        if old is not _ABSENT and journal is not None:
-                            journal.append(
-                                (OP_ENV, thread, frame, dkey, True, old))
+                        env.pop(dkey, None)
                     frame._skeys = None
                 if result is _CONTROL:
                     # Branch/call/ret moved the PC: refetch the frame.
@@ -184,19 +210,14 @@ class ReferenceMachine(Machine):
                     else:
                         frame = thread.mutable_frame_at(top, journal)
                     continue
-                env = frame.env
                 touch(journal, thread)
+                if journal is not None and frame._fepoch != epoch:
+                    snapshot_frame(journal, thread, frame, epoch)
+                env = frame.env
                 if key not in unused:  # skip never-read results entirely
-                    had = key in env
-                    if journal is not None:
-                        journal.append((OP_ENV, thread, frame, key, had,
-                                        env.get(key)))
-                    if not had:
+                    if key not in env:
                         frame._skeys = None
                     env[key] = result
-                if journal is not None and frame._iepoch != epoch:
-                    frame._iepoch = epoch
-                    journal.append((OP_FIDX, thread, frame, frame.index))
                 frame.index += 1
         finally:
             # Also on ExecutionError: the journal's OP_STEPS snapshot
@@ -431,22 +452,15 @@ class ReferenceMachine(Machine):
                              FINISHING if thread.window else FINISHED)
             return _CONTROL
         caller = thread.mutable_frame(journal)
+        if journal is not None and caller._fepoch != self._epoch:
+            snapshot_frame(journal, thread, caller, self._epoch)
         call_instr = frame.call_instr
         if call_instr is not None and id(call_instr) not in self._unused:
             key = id(call_instr)
             env = caller.env
-            had = key in env
-            if journal is not None:
-                journal.append((OP_ENV, thread, caller, key, had,
-                                env.get(key)))
-            if not had:
+            if key not in env:
                 caller._skeys = None
             env[key] = value
-        if journal is not None:
-            epoch = self._epoch
-            if caller._iepoch != epoch:
-                caller._iepoch = epoch
-                journal.append((OP_FIDX, thread, caller, caller.index))
         caller.index += 1
         return _CONTROL
 
@@ -462,6 +476,7 @@ class ReferenceMachine(Machine):
                 f"call-stack overflow in @{frame.function.name}"
             )
         callee_frame = Frame(instr.callee, call_instr=instr)
+        callee_frame._fepoch = self._epoch  # OP_FPUSH undoes it wholesale
         callee_frame.stack_base = thread.stack_top
         for argument, value in zip(instr.callee.arguments, args):
             callee_frame.env[id(argument)] = value
@@ -485,6 +500,7 @@ class ReferenceMachine(Machine):
             journal.append((OP_TNEW, tid))
         state.next_tid = tid + 1
         new_frame = Frame(instr.callee)
+        new_frame._fepoch = self._epoch  # OP_TNEW undoes it wholesale
         new_thread = Thread(tid, new_frame)
         if instr.callee.arguments and arg is not None:
             new_frame.env[id(instr.callee.arguments[0])] = arg
@@ -526,9 +542,36 @@ class ReferenceMachine(Machine):
         return addr
 
 
+def may_commit(model, window, index):
+    """May ``window[index]`` commit given earlier pending entries?
+
+    The per-index rule ``MemoryModel.committable`` replaced: sc and tso
+    commit in program order; wmm re-scans the entries before ``index``.
+    """
+    if model.name != "wmm":
+        return index == 0
+    entry = window[index]
+    if entry.kind == "store" and is_pending(entry.value):
+        return False  # the stored value comes from an uncommitted load
+    if index and entry.rel:
+        return False  # release: waits for everything earlier
+    addr = entry.addr
+    sc = entry.sc
+    for earlier in window[:index]:
+        if earlier.addr == addr:
+            return False  # coherence: same-location program order
+        if earlier.acq:
+            return False  # acquire: later ops wait
+        if sc and earlier.sc:
+            return False  # SC total order respects program order
+    return True
+
+
 def _action_key(state, action):
-    """``(tid, kind, addr, rank, pristine)`` identity of a commit, rank
-    counting the earlier same-``(kind, addr)`` window entries."""
+    """``("c", tid, kind, addr)`` identity of a commit, checking that
+    the parts the production keys leave out carry no information: the
+    rank (earlier same-``(kind, addr)`` window entries) is 0 and no
+    operand is pending."""
     if action[0] == "visible":
         return ("v", action[1])
     _kind, tid, index = action
@@ -543,7 +586,8 @@ def _action_key(state, action):
         or type(entry.rmw_expected) is tuple
         or type(entry.rmw_desired) is tuple
     )
-    return ("c", tid, entry.kind, entry.addr, rank, pristine)
+    assert rank == 0 and pristine, (entry, rank, pristine)
+    return ("c", tid, entry.kind, entry.addr)
 
 
 # -- standalone dispatch handlers (uniform signature) -----------------------
@@ -552,11 +596,8 @@ def _action_key(state, action):
 def _h_br(machine, state, thread, frame, instr, visible_ok):
     journal = machine.journal
     touch(journal, thread)
-    if journal is not None:
-        journal.append((OP_FBLK, thread, frame, frame.block, frame.index))
-        # The block record restores the index too: no OP_FIDX needed
-        # for the rest of this epoch's run in the new block.
-        frame._iepoch = machine._epoch
+    if journal is not None and frame._fepoch != machine._epoch:
+        snapshot_frame(journal, thread, frame, machine._epoch)
     frame.block = instr.target
     frame.index = 0
     return _CONTROL
@@ -568,9 +609,8 @@ def _h_condbr(machine, state, thread, frame, instr, visible_ok):
         return _BLOCKED
     journal = machine.journal
     touch(journal, thread)
-    if journal is not None:
-        journal.append((OP_FBLK, thread, frame, frame.block, frame.index))
-        frame._iepoch = machine._epoch  # subsumes OP_FIDX (see _h_br)
+    if journal is not None and frame._fepoch != machine._epoch:
+        snapshot_frame(journal, thread, frame, machine._epoch)
     frame.block = instr.true_block if cond else instr.false_block
     frame.index = 0
     return _CONTROL

@@ -23,20 +23,20 @@ class TestWindowRules:
 
     def test_independent_stores_commit_out_of_order(self):
         window = [entry("store", 1, value=1), entry("store", 2, value=2)]
-        assert self.model.may_commit(window, 0)
-        assert self.model.may_commit(window, 1)
+        assert 0 in self.model.committable(window)
+        assert 1 in self.model.committable(window)
 
     def test_same_address_commits_in_order(self):
         window = [entry("store", 1, value=1), entry("store", 1, value=2)]
-        assert self.model.may_commit(window, 0)
-        assert not self.model.may_commit(window, 1)
+        assert 0 in self.model.committable(window)
+        assert 1 not in self.model.committable(window)
 
     def test_release_store_waits_for_everything(self):
         window = [
             entry("store", 1, value=1),
             entry("store", 2, value=2, order=MemoryOrder.SEQ_CST),
         ]
-        assert not self.model.may_commit(window, 1)
+        assert 1 not in self.model.committable(window)
 
     def test_plain_store_overtakes_release_store(self):
         window = [
@@ -45,22 +45,22 @@ class TestWindowRules:
         ]
         # This is the Figure 7 behaviour: the later plain store may
         # become visible before the earlier release store.
-        assert self.model.may_commit(window, 1)
+        assert 1 in self.model.committable(window)
 
     def test_acquire_load_blocks_later_commits(self):
         window = [
             entry("load", 1, order=MemoryOrder.SEQ_CST, token=1),
             entry("store", 2, value=2),
         ]
-        assert self.model.may_commit(window, 0)
-        assert not self.model.may_commit(window, 1)
+        assert 0 in self.model.committable(window)
+        assert 1 not in self.model.committable(window)
 
     def test_plain_load_does_not_block_later_commits(self):
         window = [
             entry("load", 1, token=1),
             entry("store", 2, value=2),
         ]
-        assert self.model.may_commit(window, 1)
+        assert 1 in self.model.committable(window)
 
     def test_unexecuted_sc_rmw_blocks_later_commits(self):
         window = [
@@ -68,7 +68,7 @@ class TestWindowRules:
                   rmw_op="add", rmw_operand=1),
             entry("store", 2, value=2),
         ]
-        assert not self.model.may_commit(window, 1)
+        assert 1 not in self.model.committable(window)
 
     def test_relaxed_rmw_orders_nothing(self):
         """A relaxed LL/SC pair is plain LDXR/STXR on Arm: later ops may
@@ -78,30 +78,30 @@ class TestWindowRules:
                   rmw_op="add", rmw_operand=1),
             entry("store", 2, value=2),
         ]
-        assert self.model.may_commit(window, 1)
+        assert 1 in self.model.committable(window)
         window = [
             entry("store", 2, value=2),
             entry("rmw_store", 1, order=MemoryOrder.RELAXED, value=5),
         ]
-        assert self.model.may_commit(window, 1)
+        assert 1 in self.model.committable(window)
 
     def test_rmw_store_half_can_be_overtaken(self):
         window = [
             entry("rmw_store", 1, order=MemoryOrder.SEQ_CST, value=5),
             entry("store", 2, value=2),
         ]
-        assert self.model.may_commit(window, 1)
+        assert 1 in self.model.committable(window)
 
     def test_sc_sc_program_order(self):
         window = [
             entry("load", 1, order=MemoryOrder.SEQ_CST, token=1),
             entry("load", 2, order=MemoryOrder.SEQ_CST, token=2),
         ]
-        assert not self.model.may_commit(window, 1)
+        assert 1 not in self.model.committable(window)
 
     def test_pending_store_value_blocks_commit(self):
         window = [entry("store", 1, value=("p", 9))]
-        assert not self.model.may_commit(window, 0)
+        assert 0 not in self.model.committable(window)
 
 
 class TestInitialState:

@@ -1,16 +1,20 @@
-"""The decoded kernel against the handler-dispatch reference machine.
+"""The production machine against the reference machine.
 
-``reference_machine`` keeps the interpreter the decoded kernel of
-:mod:`repro.mc.machine` replaced: a per-instruction class dispatch, one
-``_value`` call per operand, and a window re-scan per commit key.  Each
-case here checks one module twice, once with each machine (patched in
-as ``repro.mc.explorer.Machine``), and asserts the explorations agree
+``reference_machine`` keeps the slower originals of three rules of
+:mod:`repro.mc.machine`: the handler-dispatch interpreter the decoded
+kernel replaced (a per-instruction class dispatch, one ``_value`` call
+per operand), the per-index commit rule with a window re-scan per
+commit key that ``MemoryModel.committable`` replaced, and a memo-free
+quiescence fixpoint in place of the wake-up rules.  Each case here
+checks one module twice, once with each machine (patched in as
+``repro.mc.explorer.Machine``), and asserts the explorations agree
 exactly: outcome, violation text, traces, notes, ``states_explored``
 and every exploration counter.  The inputs cover the litmus gallery,
 the weakened-litmus templates, every ported corpus module under both
-reducing backends, random memory-order assignments and the error
-paths (a zero divisor, an instruction subclass, instructions the
-checker cannot execute, and operands it cannot evaluate).
+reducing backends, random memory-order assignments, a writer that
+fills its commit window, and the error paths (a zero divisor, an
+instruction subclass, instructions the checker cannot execute, and
+operands it cannot evaluate).
 """
 
 from unittest import mock
@@ -125,6 +129,36 @@ else:
         module = compile_source(weakened_source(name, overrides),
                                 f"weakened_{name}")
         assert_same_exploration(module, model=model, por=por, **BOUNDS)
+
+
+def test_full_windows():
+    """The writer's ten stores fill its eight-entry window: commits that
+    free a slot of a full window must wake it (no other input fills a
+    window)."""
+    module = compile_source("""
+int slots[10];
+int done = 0;
+void writer() {
+    int i = 0;
+    while (i < 10) {
+        slots[i] = i + 1;
+        i = i + 1;
+    }
+    done = 1;
+}
+int main() {
+    int t = thread_create(writer);
+    int seen = done;
+    if (seen == 1) {
+        assert(slots[9] == 10);
+    }
+    thread_join(t);
+    return 0;
+}
+""", "full_window")
+    for model in ("tso", "wmm"):
+        for por in PORS:
+            assert_same_exploration(module, model=model, por=por, **BOUNDS)
 
 
 # -- error paths -----------------------------------------------------------

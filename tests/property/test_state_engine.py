@@ -49,8 +49,7 @@ MODELS = ("sc", "tso", "wmm")
 #: tid/address values so writes overwrite each other as well as add.
 CLOCK_KEYS = [
     ("ta", 0, 1), ("ta", 1, 1), ("w", 1), ("r", 1), ("x", 2), ("iw", 1),
-    ("ir", 2), ("vt", 0), ("tc", 1), ("wc", 0), ("g",), ("np", 1),
-    ("b", 1),
+    ("ir", 2), ("vt", 0), ("tc", 1), ("wc", 0), ("g",), ("b", 1),
 ]
 #: Immutable values of the shapes the tables hold: event indices,
 #: index tuples (read lists) and window-slot tuples with ``None``.

@@ -137,6 +137,13 @@ def test_bad_requests_are_400(client):
         ("check", "macro", {"options": {"macro": "off"}}),
         ("check", "entry", {"options": {"entry": "main"}}),
         ("optimize", "entry", {"options": {"entry": "main"}}),
+        ("port", "priority", {"priority": None}),
+        ("port", "priority", {"priority": [1]}),
+        ("port", "priority", {"priority": {"a": 1}}),
+        ("port", "priority", {"priority": "high"}),
+        ("port", "priority", {"priority": 1.7}),
+        ("port", "priority", {"priority": True}),
+        ("port", "priority", {"priority": "5"}),
     ):
         status, payload = client.request("POST", "/jobs", body={
             "kind": kind, "modules": [module], **bad,

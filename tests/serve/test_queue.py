@@ -229,6 +229,15 @@ def test_daemon_rejects_bad_submissions(daemon, port_payload):
         daemon.submit("port", port_payload(config={"warp_drive": 1}))
 
 
+def test_non_integer_priority_is_rejected_before_storing(idle_daemon,
+                                                         port_payload):
+    for bad in (None, "5", 1.7, True, [1], {"a": 1}):
+        with pytest.raises(ValueError, match="priority"):
+            idle_daemon.submit("port", port_payload(), priority=bad)
+    assert idle_daemon.store.list_jobs() == []
+    assert idle_daemon.list_jobs() == []
+
+
 def test_priority_orders_the_queue(idle_daemon, port_payload):
     low = idle_daemon.submit("port", port_payload(), priority=0)
     high = idle_daemon.submit("port", port_payload(level="naive"),
