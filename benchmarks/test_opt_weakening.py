@@ -19,6 +19,7 @@ this PR onward, and ``table9.txt`` is regenerated for EXPERIMENTS.md.
 
 import json
 import os
+import platform
 import time
 
 import pytest
@@ -33,6 +34,15 @@ MUST_IMPROVE = ("ck_spinlock_cas", "ck_ring")
 #: whole ladder one check at a time would cost ~3 checks per site;
 #: batching + bisection must stay far below that on these modules.
 CHECKS_PER_CANDIDATE_CEILING = 2.0
+#: The gate tests below.  None depends on the CPU count, so each is
+#: enforced on every host; BENCH_opt.json records that per gate.
+GATES = (
+    "test_every_corpus_module_keeps_its_verdict",
+    "test_barrier_cost_drops_on_hot_path_benchmarks",
+    "test_no_module_gets_more_expensive",
+    "test_bisection_keeps_oracle_checks_bounded",
+    "test_fast_path_answers_some_queries_statically",
+)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +128,9 @@ def test_bench_opt_json_regenerated(table9_run, results_dir):
     rows, seconds = table9_run
     payload = {
         "wall_seconds": seconds,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "gates": {name: {"gate_enforced": True} for name in GATES},
         "must_improve": list(MUST_IMPROVE),
         "checks_per_candidate_ceiling": CHECKS_PER_CANDIDATE_CEILING,
         "rows": [

@@ -21,6 +21,13 @@ numbers in BENCH_port.json with ``gate_enforced: false`` and skip the
 assertion — the JSON field always tells the truth about whether the
 floor was applied, and which floor.
 
+The two regimes run ``REPEATS`` times, alternating serial and parallel,
+and the gate takes the median of the per-pair speedups: on a 2-CPU
+host one pair that shares the machine with other load can read under
+the floor (1.44x and 1.47x were seen against 1.5x), while the median
+of an odd number of pairs is a measured pair that such a burst does
+not move.  BENCH_port.json records every repetition.
+
 Bit-identity is checked on the Table 2 + alias corpus: the printed IR
 of every port produced through the process pool must equal the printed
 IR of the same port done in-process, byte for byte.
@@ -50,6 +57,9 @@ MIN_CPUS = 2
 #: stretch floor instead.
 SPEEDUP_FLOOR = 1.5
 SPEEDUP_STRETCH = 3.0
+#: Alternating serial/parallel repetitions; odd, so the gated median
+#: speedup is one measured pair.
+REPEATS = 3
 IDENTITY_CORPUS = TABLE2_BENCHMARKS + ALIAS_BENCHMARKS
 
 
@@ -91,26 +101,51 @@ def cache_dir(tmp_path_factory):
         os.environ["ATOMIG_CACHE_DIR"] = previous
 
 
-@pytest.fixture(scope="module")
-def serial_run():
-    """(rows, wall_seconds) of the pre-PR-shaped serial cold run."""
+def _timed(**kwargs):
+    """(rows, wall_seconds) of one ``table3`` run."""
     started = time.perf_counter()
-    rows = table3(scale=SCALE, frontend_cache=False, profile=True)
+    rows = table3(scale=SCALE, profile=True, **kwargs)
     return rows, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
-def parallel_run(cache_dir):
-    """(rows, wall_seconds) of the jobs=4 run over a warmed cache."""
+def repetitions(cache_dir):
+    """``REPEATS`` alternating ((rows, s) serial, (rows, s) parallel).
+
+    Serial is the cold baseline (one process, no frontend cache);
+    parallel is the jobs=4 run over a warmed cache.
+    """
     # Warm the on-disk cache the way a CI steady state would be: each
     # app's module is compiled once and pickled; the pool workers then
     # hit the disk entries instead of re-running the frontend.
     for app_name in PAPER_TABLE3:
         source = generate_codebase(app_name, scale=SCALE, seed=0)
         compile_source(source, app_name, cache=True)
-    started = time.perf_counter()
-    rows = table3(scale=SCALE, jobs=JOBS, frontend_cache=True, profile=True)
-    return rows, time.perf_counter() - started
+    return [
+        (_timed(frontend_cache=False),
+         _timed(jobs=JOBS, frontend_cache=True))
+        for _ in range(REPEATS)
+    ]
+
+
+@pytest.fixture(scope="module")
+def median_pair(repetitions):
+    """The repetition whose speedup is the median: the gated pair."""
+    ranked = sorted(
+        repetitions,
+        key=lambda pair: _speedup(pair[0][1], pair[1][1]),
+    )
+    return ranked[len(ranked) // 2]
+
+
+@pytest.fixture(scope="module")
+def serial_run(median_pair):
+    return median_pair[0]
+
+
+@pytest.fixture(scope="module")
+def parallel_run(median_pair):
+    return median_pair[1]
 
 
 @pytest.fixture(scope="module")
@@ -140,15 +175,17 @@ def identity_results():
     }
 
 
-def test_static_columns_identical(serial_run, parallel_run):
-    """Parallelism must not change a single reported statistic."""
-    serial_rows, _ = serial_run
-    parallel_rows, _ = parallel_run
-    for serial, parallel in zip(serial_rows, parallel_rows):
-        for column in STATIC_COLUMNS:
-            assert serial[column] == parallel[column], (
-                serial["application"], column
-            )
+def test_static_columns_identical(repetitions):
+    """Parallelism (and repetition) must not change a single reported
+    statistic."""
+    reference, _ = repetitions[0][0]
+    for serial_run, parallel_run in repetitions:
+        for rows, _seconds in (serial_run, parallel_run):
+            for expected, row in zip(reference, rows):
+                for column in STATIC_COLUMNS:
+                    assert row[column] == expected[column], (
+                        expected["application"], column
+                    )
 
 
 def test_ports_bit_identical(identity_results):
@@ -172,7 +209,7 @@ def test_profile_attached(serial_run):
 
 def test_parallel_speedup(serial_run, parallel_run):
     """The headline gate: >1.5x at jobs=4 on any multi-core machine
-    (>=3x on a full 4-core box)."""
+    (>=3x on a full 4-core box), on the median of ``REPEATS`` pairs."""
     _rows, serial_seconds = serial_run
     _prows, parallel_seconds = parallel_run
     speedup = _speedup(serial_seconds, parallel_seconds)
@@ -184,13 +221,13 @@ def test_parallel_speedup(serial_run, parallel_run):
             "recorded in BENCH_port.json with gate_enforced=false)"
         )
     assert speedup >= floor, (
-        f"table3 scale={SCALE} jobs={JOBS}: serial {serial_seconds:.2f}s, "
-        f"parallel {parallel_seconds:.2f}s -> {speedup:.2f}x "
-        f"< {floor}x on {os.cpu_count()} CPUs"
+        f"table3 scale={SCALE} jobs={JOBS}: median of {REPEATS} pairs "
+        f"serial {serial_seconds:.2f}s, parallel {parallel_seconds:.2f}s "
+        f"-> {speedup:.2f}x < {floor}x on {os.cpu_count()} CPUs"
     )
 
 
-def test_bench_port_json_regenerated(serial_run, parallel_run,
+def test_bench_port_json_regenerated(repetitions, serial_run, parallel_run,
                                      identity_results, results_dir):
     from repro.core.workers import pool_stats
 
@@ -205,9 +242,19 @@ def test_bench_port_json_regenerated(serial_run, parallel_run,
         "min_cpus": MIN_CPUS,
         "speedup_floor": floor,
         "gate_enforced": enforced,
+        "repeats": REPEATS,
+        # The gated pair: the repetition with the median speedup.
         "serial_seconds": serial_seconds,
         "parallel_seconds": parallel_seconds,
         "speedup": speedup,
+        "repetitions": [
+            {
+                "serial_seconds": serial[1],
+                "parallel_seconds": parallel[1],
+                "speedup": _speedup(serial[1], parallel[1]),
+            }
+            for serial, parallel in repetitions
+        ],
         # Per-worker busy time from the persistent pools: shows skew
         # (one worker stuck on a lumpy port) that aggregate wall
         # seconds hide.

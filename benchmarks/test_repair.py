@@ -20,6 +20,7 @@ Three jobs, mirroring the robustness and weakening gates:
 
 import json
 import os
+import platform
 import time
 
 import pytest
@@ -35,6 +36,16 @@ from repro.core.config import PortingLevel
 MAX_STEPS = 600
 
 ARCHES = ("armv8", "power")
+#: The gate tests below.  None depends on the CPU count, so each is
+#: enforced on every host; BENCH_repair.json records that per gate.
+GATES = (
+    "test_every_corpus_module_repairs_to_robust",
+    "test_repaired_modules_verify_with_zero_states",
+    "test_repair_cost_never_exceeds_blanket_sc",
+    "test_ab_verdicts_preserved_on_table2",
+    "test_table10_covers_both_arches",
+    "test_table10_repair_beats_blanket_sc",
+)
 
 
 def _corpus_sources():
@@ -156,6 +167,9 @@ def test_bench_repair_json_regenerated(table10_run, results_dir):
     rows, seconds = table10_run
     payload = {
         "wall_seconds": seconds,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "gates": {name: {"gate_enforced": True} for name in GATES},
         "arches": list(ARCHES),
         "rows": [
             {

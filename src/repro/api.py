@@ -44,7 +44,7 @@ def compile_source(source, name="module", cache=None):
 
 
 def port_module(module, level=PortingLevel.ATOMIG, config=None,
-                optimize=False, optimize_kwargs=None):
+                optimize=False):
     """Port ``module`` for a weak memory model.
 
     Returns ``(ported_module, report)``.  The input module is cloned,
@@ -52,14 +52,41 @@ def port_module(module, level=PortingLevel.ATOMIG, config=None,
 
     ``level`` selects the strategy (AtoMig, its Expl/Spin ablations, the
     Naive porter, or the Lasagne-like baseline); ``config`` overrides
-    individual AtoMig knobs.  ``optimize=True`` runs the oracle-guided
-    barrier weakener on the ported result (see :func:`optimize_module`);
-    the weakening report lands in ``report.optimization``.
+    individual AtoMig knobs, and the level's ablations apply on top of
+    it (:meth:`AtoMigConfig.for_level`).  ``optimize=True`` runs the
+    oracle-guided barrier weakener on the ported result (see
+    :func:`optimize_module`); the weakening report lands in
+    ``report.optimization``.
     """
     from repro.core.pipeline import run_porting
 
     return run_porting(module, level=level, config=config,
-                       optimize=optimize, optimize_kwargs=optimize_kwargs)
+                       optimize=optimize)
+
+
+def load_module(source, name="module", is_ir=False, level=None,
+                config=None):
+    """The module a job on ``source`` runs on, at ``level``.
+
+    Parses IR text (``is_ir``) or compiles Mini-C through
+    :func:`compile_source`.  At level ``None`` or ``"original"`` the
+    compiled module is returned unchanged unless ``config`` asks for
+    the repair stage (``repair_mode``), which lives in the porting
+    pipeline; any other level goes through :func:`port_module`.  Every
+    job preamble — the task specs, the CLI and serve — comes through
+    here, so they agree on what a (level, config) pair means.
+    """
+    if is_ir:
+        from repro.ir.parser import parse_module
+
+        module = parse_module(source)
+    else:
+        module = compile_source(source, name)
+    level = PortingLevel(level or PortingLevel.ORIGINAL)
+    if level is PortingLevel.ORIGINAL and not (config and config.repair_mode):
+        return module
+    ported, _report = port_module(module, level, config=config)
+    return ported
 
 
 def check_module(module, model="wmm", max_steps=2500, max_states=2_000_000,
@@ -178,6 +205,7 @@ __all__ = [
     "check_module",
     "compile_source",
     "lint_module",
+    "load_module",
     "optimize_module",
     "port_module",
     "repair_module",

@@ -37,6 +37,7 @@ import sys
 from repro.api import (
     compile_source,
     lint_module,
+    load_module,
     port_module,
     run_module,
 )
@@ -45,14 +46,33 @@ from repro.core.config import AtoMigConfig, PortingLevel
 _LEVELS = {level.value: level for level in PortingLevel}
 
 
-def _load(path, name=None):
+def _read(path):
     with open(path) as handle:
-        source = handle.read()
-    if path.endswith(".ir"):
-        from repro.ir.parser import parse_module
+        return handle.read()
 
-        return parse_module(source)
-    return compile_source(source, name or path)
+
+def _load(args, level=None, config=None):
+    """The module ``args.file`` holds (IR text if it ends in ``.ir``),
+    at ``level`` under ``config`` (:func:`repro.api.load_module`)."""
+    return load_module(_read(args.file), args.file,
+                       is_ir=args.file.endswith(".ir"), level=level,
+                       config=config)
+
+
+def _load_ported(args):
+    """``args.file`` at ``--level`` under the config flags."""
+    return _load(args, args.level, _build_config(args))
+
+
+def _corpus():
+    """(name, compiled module) of every corpus benchmark with a source."""
+    from repro.bench.corpus import BENCHMARKS
+
+    for name in sorted(BENCHMARKS):
+        benchmark = BENCHMARKS[name]
+        source = benchmark.mc_source or benchmark.perf_source
+        if source is not None:
+            yield name, compile_source(source(), name)
 
 
 def _add_level_arg(parser):
@@ -65,11 +85,6 @@ def _add_level_arg(parser):
 
 
 def _build_config(args):
-    repair = getattr(args, "repair", False)
-    if not (args.polling or args.barrier_seeds or args.strict_spinloops
-            or args.no_inline or args.no_alias or args.prune_protected
-            or repair or args.alias_mode != "type_based"):
-        return None
     return AtoMigConfig(
         detect_polling_loops=args.polling,
         compiler_barrier_seeds=args.barrier_seeds,
@@ -77,9 +92,9 @@ def _build_config(args):
         inline_before_analysis=not args.no_inline,
         alias_exploration=not args.no_alias,
         prune_protected=args.prune_protected,
-        repair_mode=repair,
-        repair_model=getattr(args, "repair_model", "wmm"),
-        repair_arch=getattr(args, "repair_arch", "armv8"),
+        repair_mode=args.repair,
+        repair_model=args.repair_model,
+        repair_arch=args.repair_arch,
         alias_mode=args.alias_mode,
     )
 
@@ -118,7 +133,7 @@ def _add_config_args(parser):
 
 
 def cmd_port(args):
-    module = _load(args.file)
+    module = _load(args)
     ported, report = port_module(
         module, _LEVELS[args.level], config=_build_config(args),
         optimize=args.optimize,
@@ -200,11 +215,7 @@ def _opt_summary(payload):
 
 def cmd_optimize(args):
     """Port, then weaken barriers as far as the oracle certifies."""
-    module = _load(args.file)
-    if args.level != "original":
-        module, _report = port_module(
-            module, _LEVELS[args.level], config=_build_config(args)
-        )
+    module = _load_ported(args)
     counts = None
     if args.dynamic:
         result = run_module(module, record_counts=True)
@@ -238,16 +249,11 @@ def _check_results(args):
     from repro.core.workers import run_batch
     from repro.mc.parallel import CheckTask
 
-    # --repair needs the porting pipeline even at level original (the
-    # repair stage lives there).
-    needs_port = args.level != "original" or args.repair
-    with open(args.file) as handle:
-        source = handle.read()
+    source = _read(args.file)
     config = _build_config(args)
     tasks = [
         CheckTask(
-            name=args.file, source=source, model=model,
-            level=args.level if needs_port else None,
+            name=args.file, source=source, model=model, level=args.level,
             max_steps=args.max_steps, por=args.por,
             config=config, is_ir=args.file.endswith(".ir"),
             robustness=args.robustness,
@@ -293,12 +299,7 @@ def cmd_check(args):
 
 
 def cmd_run(args):
-    module = _load(args.file)
-    if args.level != "original":
-        module, _report = port_module(
-            module, _LEVELS[args.level], config=_build_config(args)
-        )
-    result = run_module(module, schedule_seed=args.seed)
+    result = run_module(_load_ported(args), schedule_seed=args.seed)
     print(f"exit value: {result.exit_value}")
     if result.output:
         print(f"output: {result.output}")
@@ -310,7 +311,7 @@ def cmd_run(args):
 def cmd_diff(args):
     from repro.core.diff import diff_modules
 
-    module = _load(args.file)
+    module = _load(args)
     ported, report = port_module(
         module, _LEVELS[args.level], config=_build_config(args)
     )
@@ -324,7 +325,7 @@ def cmd_aliases(args):
     """Inspect location keys, points-to sets and thread-escape verdicts."""
     from repro.analysis.cache import AnalysisCache
 
-    module = _load(args.file)
+    module = _load(args)
     if not args.no_inline:
         from repro.transform.inline import inline_module
 
@@ -371,8 +372,8 @@ def cmd_lint(args):
         print("lint: a FILE is required unless --corpus is given",
               file=sys.stderr)
         return 2
-    module = _load(args.file)
-    report = lint_module(module, name_heuristic=not args.no_name_heuristic)
+    report = lint_module(_load(args),
+                         name_heuristic=not args.no_name_heuristic)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -390,14 +391,7 @@ def _lint_classes(args):
 
 def _lint_corpus(args):
     """Lint every corpus benchmark (the CI regression snapshot)."""
-    from repro.bench.corpus import BENCHMARKS
-
-    for name in sorted(BENCHMARKS):
-        benchmark = BENCHMARKS[name]
-        source = benchmark.mc_source or benchmark.perf_source
-        if source is None:
-            continue
-        module = compile_source(source(), name)
+    for name, module in _corpus():
         report = lint_module(module)
         counts = report.counts()
         histogram = " ".join(
@@ -419,13 +413,9 @@ def cmd_robustness(args):
         print("robustness: a FILE is required unless --corpus is given",
               file=sys.stderr)
         return 2
-    module = _load(args.file)
-    if args.level != "original":
-        module, _report = port_module(
-            module, _LEVELS[args.level], config=_build_config(args)
-        )
     result = analyze_robustness(
-        module, model=args.model, max_witnesses=args.max_witnesses
+        _load_ported(args), model=args.model,
+        max_witnesses=args.max_witnesses,
     )
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
@@ -446,22 +436,12 @@ def _robustness_corpus(args):
     with full per-access witness provenance.
     """
     from repro.analysis.robustness import analyze_robustness
-    from repro.bench.corpus import BENCHMARKS
 
     payloads = []
-    for name in sorted(BENCHMARKS):
-        benchmark = BENCHMARKS[name]
-        source = benchmark.mc_source or benchmark.perf_source
-        if source is None:
-            continue
-        module = compile_source(source(), name)
+    for name, module in _corpus():
         fields = []
-        for level in ("original", "atomig"):
-            work = module
-            if level != "original":
-                work, _report = port_module(
-                    module.clone(), _LEVELS[level]
-                )
+        ported, _report = port_module(module, PortingLevel.ATOMIG)
+        for level, work in (("original", module), ("atomig", ported)):
             result = analyze_robustness(work, model=args.model)
             if args.json:
                 payload = result.to_dict()
@@ -487,13 +467,9 @@ def cmd_repair(args):
         print("repair: a FILE is required unless --corpus is given",
               file=sys.stderr)
         return 2
-    module = _load(args.file)
-    if args.level != "original":
-        module, _report = port_module(
-            module, _LEVELS[args.level], config=_build_config(args)
-        )
     repaired, report = repair_module(
-        module, model=args.model, arch=args.arch, verify=args.verify,
+        _load_ported(args), model=args.model, arch=args.arch,
+        verify=args.verify,
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -522,16 +498,10 @@ def _repair_corpus(args):
     so CI can diff it against ``benchmarks/results/repair_corpus.txt``.
     """
     from repro.analysis.repair import resynthesize_ported
-    from repro.bench.corpus import BENCHMARKS
 
     failures = 0
-    for name in sorted(BENCHMARKS):
-        benchmark = BENCHMARKS[name]
-        source = benchmark.mc_source or benchmark.perf_source
-        if source is None:
-            continue
-        module = compile_source(source(), name)
-        ported, _report = port_module(module, _LEVELS["atomig"])
+    for name, module in _corpus():
+        ported, _report = port_module(module, PortingLevel.ATOMIG)
         _repaired, report = resynthesize_ported(
             ported, model=args.model, arch=args.arch,
         )

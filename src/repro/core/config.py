@@ -6,7 +6,7 @@ The knobs correspond to the ablations evaluated in the paper's Table 2
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class PortingLevel(enum.Enum):
@@ -48,8 +48,6 @@ class AtoMigConfig:
     #: Inline small functions before analysis so loops spanning function
     #: boundaries become visible (§3.5 "Loops Spanning Multiple Functions").
     inline_before_analysis: bool = True
-    #: Maximum callee size (in instructions) eligible for pre-inlining.
-    inline_size_limit: int = 80
     #: Use the stricter literature definition of a spinloop (no stores in
     #: the loop body at all).  Ablation knob; the paper argues (§3.5)
     #: this detects fewer synchronization points.
@@ -101,14 +99,17 @@ class AtoMigConfig:
     incremental_verify: bool = True
 
     @classmethod
-    def for_level(cls, level):
-        """Build the configuration matching a :class:`PortingLevel`."""
+    def for_level(cls, level, config=None):
+        """``config`` (default: the paper's) with ``level``'s ablations.
+
+        Expl switches spinloop and optimistic-loop detection off, Spin
+        only optimistic-loop detection; every other level takes the
+        configuration as given.  ``config`` itself is never mutated.
+        """
+        config = config or cls()
         if level is PortingLevel.EXPL:
-            return cls(
-                detect_spinloops=False,
-                detect_optimistic=False,
-                alias_exploration=True,
-            )
+            return replace(config, detect_spinloops=False,
+                           detect_optimistic=False)
         if level is PortingLevel.SPIN:
-            return cls(detect_optimistic=False)
-        return cls()
+            return replace(config, detect_optimistic=False)
+        return config

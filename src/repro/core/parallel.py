@@ -1,4 +1,4 @@
-"""Porting task spec: one picklable (module, level) port job.
+"""Task specs: picklable jobs that run themselves.
 
 The Table 3/5/6 harnesses and ``atomig tables --jobs`` are batches of
 *independent* (module, level) ports — different applications, different
@@ -20,6 +20,9 @@ under parallelism.  Outcomes return :class:`PortingReport` objects
 callers that need the ported IR itself request ``emit_ir`` and get the
 printed text, which doubles as the bit-identity witness in the
 serial-vs-parallel CI check.
+
+:class:`ModuleTask` is the base of the check, optimize and repair
+specs (:mod:`repro.mc.parallel`, :mod:`repro.opt.parallel`).
 """
 
 from dataclasses import dataclass
@@ -115,3 +118,35 @@ class PortOutcome:
     cycles: tuple = ()
     #: Printed IR of the final module (``emit_ir`` tasks only).
     ir_text: str = None
+
+
+@dataclass(frozen=True)
+class ModuleTask:
+    """What a check, optimize or repair job shares: one module to load.
+
+    Each subclass adds its own fields and a ``run()`` that makes one
+    call on :meth:`load`'s module.
+    """
+
+    #: Module name (the compile name; carried into reports).
+    name: str
+    #: Mini-C source text (or IR text when ``is_ir``).
+    source: str
+    model: str = "wmm"
+    #: PortingLevel value to port to first; ``None`` or ``"original"``
+    #: works on the compiled module as-is (unless ``config`` asks for
+    #: the repair stage).
+    level: str = "atomig"
+    #: Optional AtoMigConfig for the porting pipeline.
+    config: object = None
+    #: Parse ``source`` as IR text instead of Mini-C.
+    is_ir: bool = False
+    max_steps: int = 2500
+    max_states: int = 400_000
+
+    def load(self):
+        """The module to work on (:func:`repro.api.load_module`)."""
+        from repro.api import load_module
+
+        return load_module(self.source, self.name, is_ir=self.is_ir,
+                           level=self.level, config=self.config)

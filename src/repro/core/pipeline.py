@@ -35,19 +35,19 @@ from repro.transform.naive import naive_port
 
 
 def run_porting(module, level=PortingLevel.ATOMIG, config=None,
-                optimize=False, optimize_kwargs=None):
+                optimize=False):
     """Port ``module`` according to ``level``; returns (ported, report).
 
-    ``optimize=True`` appends the oracle-guided barrier-weakening stage
+    ``config`` (default: the paper's) gets ``level``'s ablations on
+    top (:meth:`AtoMigConfig.for_level`).  ``optimize=True`` appends
+    the oracle-guided barrier-weakening stage
     (:func:`repro.opt.optimize_module`): after porting, memory orders
     are relaxed as far as the model checker certifies the verdict
     unchanged.  The weakened module is returned and the
     ``OptimizationReport`` dict lands in ``report.optimization``.
-    ``optimize_kwargs`` forwards knobs (``model``, ``counts``...) to
-    the optimizer.
     """
     started = time.perf_counter()
-    config = config or AtoMigConfig.for_level(level)
+    config = AtoMigConfig.for_level(level, config)
     report = PortingReport(module_name=module.name, level=level.value)
     stats = report.stats
     with stats.stage("count_barriers"):
@@ -118,9 +118,7 @@ def run_porting(module, level=PortingLevel.ATOMIG, config=None,
         from repro.opt import optimize_module  # lazy: opt pulls in mc
 
         with stats.stage("optimize"):
-            ported, opt_report = optimize_module(
-                ported, clone=False, **(optimize_kwargs or {})
-            )
+            ported, opt_report = optimize_module(ported, clone=False)
         report.optimization = opt_report.to_dict()
         if opt_report.baseline_outcome and not opt_report.verdict_preserved:
             report.notes.append(
@@ -153,9 +151,7 @@ def _run_atomig(ported, level, config, report):
 
     if config.inline_before_analysis:
         with stats.stage("inline"):
-            inlined = inline_module(
-                ported, config.inline_size_limit, touched=touched
-            )
+            inlined = inline_module(ported, touched=touched)
         if inlined:
             report.notes.append(f"inlined {inlined} call sites before analysis")
 

@@ -21,6 +21,10 @@ Specs compile their own modules: Mini-C through
 :func:`repro.api.compile_source`, whose frontend cache
 (:mod:`repro.modcache`, on with ``ATOMIG_FRONTEND_CACHE=1``) is the
 one module cache; IR text through :func:`repro.ir.parser.parse_module`.
+The check, optimize and repair specs share the base
+:class:`repro.core.parallel.ModuleTask`, whose ``load()`` is
+:func:`repro.api.load_module` — the one preamble turning a job's
+(source, level, config) into its module.
 """
 
 import atexit

@@ -15,24 +15,13 @@ multiprocessing start method.
 
 from dataclasses import dataclass
 
+from repro.core.parallel import ModuleTask
+
 
 @dataclass(frozen=True)
-class OptimizeTask:
+class OptimizeTask(ModuleTask):
     """One optimize job, self-contained and picklable."""
 
-    #: Module name (carried into the report).
-    name: str
-    #: Mini-C source text (or IR text when ``is_ir``).
-    source: str
-    model: str = "wmm"
-    #: PortingLevel value to port to before optimizing, or None to
-    #: optimize the compiled module as-is.
-    level: str = "atomig"
-    max_steps: int = 2500
-    max_states: int = 400_000
-    #: Optional AtoMigConfig for the porting pipeline.
-    config: object = None
-    is_ir: bool = False
     #: Consider unmarked SC accesses too (hand-written modules).
     require_marks: bool = True
     #: Enable the oracle's static robustness fast path.
@@ -46,26 +35,14 @@ class OptimizeTask:
     arch: str = None
 
     def run(self):
-        """Compile, port and optimize; returns the report dict."""
-        from repro.api import compile_source, port_module
-        from repro.core.config import PortingLevel
-        from repro.ir.parser import parse_module
+        """Load and optimize; returns the report dict."""
         from repro.opt.weaken import optimize_module
         from repro.vm.costs import cost_model_for
 
-        if self.is_ir:
-            module = parse_module(self.source)
-        else:
-            module = compile_source(self.source, self.name)
-        if self.level is not None:
-            module, _report = port_module(
-                module, PortingLevel(self.level), config=self.config
-            )
-        cost_model = cost_model_for(self.arch) if self.arch else None
         _optimized, report = optimize_module(
-            module, model=self.model,
+            self.load(), model=self.model,
             max_steps=self.max_steps, max_states=self.max_states,
-            cost_model=cost_model,
+            cost_model=cost_model_for(self.arch) if self.arch else None,
             require_marks=self.require_marks, clone=False,
             robustness=self.robustness, repair_seed=self.repair_seed,
         )
@@ -73,44 +50,21 @@ class OptimizeTask:
 
 
 @dataclass(frozen=True)
-class RepairTask:
+class RepairTask(ModuleTask):
     """One static fence-repair job, self-contained and picklable."""
 
-    #: Module name (carried into the report).
-    name: str
-    #: Mini-C source text (or IR text when ``is_ir``).
-    source: str
-    model: str = "wmm"
-    #: PortingLevel value to port to before repairing, or None to
-    #: repair the compiled module as-is.
-    level: str = "atomig"
-    #: Optional AtoMigConfig for the porting pipeline.
-    config: object = None
-    is_ir: bool = False
     #: Architecture cost-model name ("armv8" / "power"); None is armv8.
     arch: str = None
     #: Model-check the repaired module and record the evidence.
     verify: bool = False
-    max_steps: int = 2500
-    max_states: int = 400_000
 
     def run(self):
-        """Compile, port and repair; returns the report dict."""
-        from repro.api import compile_source, port_module, repair_module
-        from repro.core.config import PortingLevel
-        from repro.ir.parser import parse_module
+        """Load and repair; returns the report dict."""
+        from repro.api import repair_module
 
-        if self.is_ir:
-            module = parse_module(self.source)
-        else:
-            module = compile_source(self.source, self.name)
-        if self.level is not None:
-            module, _report = port_module(
-                module, PortingLevel(self.level), config=self.config
-            )
         _repaired, report = repair_module(
-            module, model=self.model, arch=self.arch, verify=self.verify,
-            max_steps=self.max_steps, max_states=self.max_states,
-            clone=False,
+            self.load(), model=self.model, arch=self.arch,
+            verify=self.verify, max_steps=self.max_steps,
+            max_states=self.max_states, clone=False,
         )
         return report.to_dict()

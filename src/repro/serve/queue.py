@@ -145,10 +145,12 @@ def job_tasks(kind, payload):
     Each kind maps onto one spec class: ``port`` onto ``PortTask``,
     ``check`` onto ``CheckTask`` (one per module and model),
     ``optimize`` and ``repair`` onto ``OptimizeTask`` / ``RepairTask``.
-    The daemon calls this at submit, so a malformed payload is an HTTP
-    400, never a ``failed`` job.  Of the option *values*, ``por`` is
-    checked here too; the rest (``arch``...) are checked when the job
-    runs.
+    Level and config reach the specs as given: their ``load()``
+    (:func:`repro.api.load_module`) decides what the pair means, as it
+    does for the CLI.  The daemon calls this at submit, so a malformed
+    payload is an HTTP 400, never a ``failed`` job.  Of the option
+    *values*, ``por`` is checked here too; the rest (``arch``...) are
+    checked when the job runs.
     """
     from repro.core.config import PortingLevel
 
@@ -170,9 +172,6 @@ def job_tasks(kind, payload):
             for name, source, _is_ir in modules
         ]
     models = _models(payload, kind)
-    # Checks, optimizations and repairs of "original" run on the
-    # compiled module as-is.
-    level = None if level == "original" else level
     if kind == "check":
         from repro.mc.explorer import PORS
         from repro.mc.parallel import CheckTask

@@ -39,3 +39,17 @@ def test_for_level_spin_disables_only_optimistic():
 
 def test_for_level_atomig_is_default():
     assert AtoMigConfig.for_level(PortingLevel.ATOMIG) == AtoMigConfig()
+
+
+def test_for_level_applies_ablations_on_top_of_a_given_config():
+    config = AtoMigConfig(prune_protected=True, alias_mode="points_to")
+    expl = AtoMigConfig.for_level(PortingLevel.EXPL, config)
+    spin = AtoMigConfig.for_level(PortingLevel.SPIN, config)
+    assert not expl.detect_spinloops and not expl.detect_optimistic
+    assert spin.detect_spinloops and not spin.detect_optimistic
+    for derived in (expl, spin):
+        assert derived.prune_protected
+        assert derived.alias_mode == "points_to"
+    assert AtoMigConfig.for_level(PortingLevel.ATOMIG, config) is config
+    # The given config is never mutated.
+    assert config.detect_spinloops and config.detect_optimistic
