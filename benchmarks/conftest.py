@@ -1,5 +1,7 @@
-"""Benchmark-suite fixtures: result artifacts and table printing."""
+"""Benchmark-suite fixtures: result artifacts, table printing and
+timing-free comparisons."""
 
+import json
 import os
 
 import pytest
@@ -26,3 +28,19 @@ def record_table(results_dir):
         return path
 
     return _record
+
+
+@pytest.fixture(scope="session")
+def untimed():
+    """JSON-clean copy of a value without its ``wall_seconds`` keys, at
+    any depth: what repeated regenerations must reproduce exactly."""
+
+    def _strip(value):
+        if isinstance(value, dict):
+            return {key: _strip(item) for key, item in value.items()
+                    if key != "wall_seconds"}
+        if isinstance(value, list):
+            return [_strip(item) for item in value]
+        return value
+
+    return lambda value: _strip(json.loads(json.dumps(value)))

@@ -57,6 +57,37 @@ class AnalysisCache:
             for name, function in self.module.functions.items()
         }
 
+    def scoped(self, names):
+        """This cache narrowed to the functions ``names``.
+
+        ``names`` must be closed under calls, as the functions that can
+        run are.  The narrowed cache's module is a view that holds only
+        those functions, and it shares this cache's per-function
+        analyses.  Its call graph has their call edges and every spawn
+        site of the whole module, so thread entries and thread counts
+        read as they do on the whole module.
+        """
+        if len(names) == len(self.module.functions):
+            return self
+        from repro.analysis.callgraph import CallGraph
+        from repro.ir.module import Module
+
+        view = Module(self.module.name)
+        view.globals = self.module.globals
+        view.struct_types = self.module.struct_types
+        view.functions = {
+            name: function
+            for name, function in self.module.functions.items()
+            if name in names
+        }
+        scoped = AnalysisCache(view)
+        scoped._nonlocal = self._nonlocal
+        graph = scoped._callgraph = CallGraph(view)
+        whole = self.callgraph()
+        graph.spawn_sites = whole.spawn_sites
+        graph.thread_entries = whole.thread_entries
+        return scoped
+
     def callgraph(self):
         if self._callgraph is None:
             from repro.analysis.callgraph import CallGraph

@@ -783,7 +783,7 @@ def repair_module(module, model="wmm", arch=None, cost_model=None,
         if not enum.culprits:
             report.robust_after = True
             break
-        positions = _instruction_positions(module)
+        positions = _instruction_positions(module.functions.values())
         cycles_of = {}
         for cycle in enum.cycles:
             cycles_of.setdefault(cycle.delay, []).append(cycle.cycle_id)
@@ -831,7 +831,9 @@ def repair_module(module, model="wmm", arch=None, cost_model=None,
         # authoritative re-classification settles it.
         report.robust_after = analyzer.analyze(max_witnesses=1).robust
 
-    report.cost_after = estimate_cost(module, cost_model).to_dict()
+    # Only an applied round changes the module.
+    report.cost_after = (estimate_cost(module, cost_model).to_dict()
+                         if report.rounds else dict(report.cost_before))
     if verify:
         from repro.mc.explorer import check_module
 

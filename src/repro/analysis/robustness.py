@@ -310,17 +310,23 @@ class RobustnessAnalyzer:
             self._conflicts = {}
             return
         # One cache for the whole build, so the race classification,
-        # its locksets and the graph share one call graph and one
-        # NonLocalInfo per function.
+        # its locksets and the graph share one NonLocalInfo per
+        # function.  Only code that runs can add a critical cycle, so
+        # the graph is built over the live functions: main, every
+        # thread entry and all they call (DESIGN.md §6e).  The
+        # whole-module call graph stays for the dead-fence lint, which
+        # walks every function.
         if cache is None:
             cache = AnalysisCache(module)
+        self._callgraph = cache.callgraph()
+        scope = cache.scoped(_live_functions(module, self._callgraph))
+        self._live = scope.module.functions
+        self._live_callgraph = scope.callgraph()
         races = classify_module(
-            module, name_heuristic=name_heuristic, cache=cache
+            scope.module, name_heuristic=name_heuristic, cache=scope
         )
-        callgraph = self._callgraph = cache.callgraph()
-        self._contexts = _thread_contexts(module, callgraph)
-        self._positions = _instruction_positions(module)
-        self._build_nodes(races)
+        self._contexts = _thread_contexts(scope.module, self._live_callgraph)
+        self._build_nodes(races, _instruction_positions(self._live.values()))
         self._build_conflicts()
         self._by_instr = {}
         for node in self._nodes:
@@ -328,7 +334,7 @@ class RobustnessAnalyzer:
 
     # -- graph construction ------------------------------------------------
 
-    def _build_nodes(self, races):
+    def _build_nodes(self, races, positions):
         locksets = races.lockset_result
         structural = (locksets.structural_keys()
                       if locksets is not None else frozenset())
@@ -338,7 +344,7 @@ class RobustnessAnalyzer:
                 continue
             if not finding.concurrent:
                 continue  # never runs while another thread is live
-            position = self._positions.get(finding.instr)
+            position = positions.get(finding.instr)
             if position is None:
                 continue
             held = frozenset()
@@ -696,13 +702,14 @@ class RobustnessAnalyzer:
         ``fence_info`` maps each reachable fence to [has_before,
         has_after] flags when ``track_fences`` (the dead-fence lint).
         """
-        functions = self.module.functions
+        # Live functions call only live functions, so their summaries
+        # need no dead code; the dead-fence lint walks the whole module.
+        if track_fences:
+            functions, callgraph = self.module.functions, self._callgraph
+        else:
+            functions, callgraph = self._live, self._live_callgraph
         summaries = {name: _Summary() for name in functions}
-        order = list(self._callgraph.bottom_up_order())
-        order = [name for name in order if name in functions]
-        for name in functions:
-            if name not in order:
-                order.append(name)
+        order = callgraph.bottom_up_order()
 
         fence_info = {} if track_fences else None
         changed = True
@@ -719,9 +726,8 @@ class RobustnessAnalyzer:
 
         follows = set()
         open_pairs = set()
-        live = _live_functions(self.module, self._callgraph)
         for name in order:
-            if name not in live:
+            if name not in self._live:
                 continue
             self._flow_function(
                 functions[name], summaries,
@@ -950,11 +956,12 @@ class RobustnessAnalyzer:
         after the last one, or between two other fences.
         """
         _follows, _open, fence_info = self._run_dataflow(track_fences=True)
+        positions = _instruction_positions(self.module.functions.values())
         findings = []
         for instr, (has_before, has_after) in fence_info.items():
             if has_before and has_after:
                 continue
-            position = self._positions.get(instr)
+            position = positions.get(instr)
             if position is None:
                 continue
             function, block_label, index = position
@@ -1019,9 +1026,9 @@ def _distinct_instances(function_a, function_b, contexts):
     return any(multiplicity.get(root, 0) >= 2 for root in roots_a)
 
 
-def _instruction_positions(module):
+def _instruction_positions(functions):
     positions = {}
-    for function in module.functions.values():
+    for function in functions:
         for block in function.blocks:
             for index, instr in enumerate(block.instructions):
                 positions[instr] = (function.name, block.label, index)

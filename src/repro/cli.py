@@ -33,6 +33,7 @@ diagnostics go to stderr so piped output stays parseable.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from repro.api import (
     compile_source,
@@ -467,8 +468,12 @@ def cmd_repair(args):
         print("repair: a FILE is required unless --corpus is given",
               file=sys.stderr)
         return 2
+    # The synthesis below is the repair: the pipeline's repair stage
+    # would run first under --repair-model/--repair-arch and leave it
+    # nothing to repair.
+    config = replace(_build_config(args), repair_mode=False)
     repaired, report = repair_module(
-        _load_ported(args), model=args.model, arch=args.arch,
+        _load(args, args.level, config), model=args.model, arch=args.arch,
         verify=args.verify,
     )
     if args.json:

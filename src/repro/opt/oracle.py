@@ -72,7 +72,12 @@ class Oracle:
     # -- baseline ----------------------------------------------------------
 
     def establish(self, module):
-        """Check the unoptimized module; fix the verdict to preserve."""
+        """Check the unoptimized module; fix the verdict to preserve.
+
+        A truncated baseline certifies no weakening, so the optimizer
+        stops there: its verdict is neither cached nor tested for
+        robustness.
+        """
         result = self._check(module, self.max_states)
         self.baseline_outcome = result.outcome
         self.baseline_states = result.states_explored
@@ -81,9 +86,11 @@ class Oracle:
             max(self.baseline_states * self.STATE_MARGIN,
                 self.STATE_FLOOR),
         )
+        if result.outcome == "truncated":
+            return result
         self._remember(self._digest(print_module(module)),
                        result.outcome)
-        if self.robustness and result.outcome != "truncated":
+        if self.robustness:
             self.baseline_robust = self._is_robust(module)
         return result
 

@@ -13,7 +13,7 @@ Results are plain dicts (``OptimizationReport.to_dict()`` /
 multiprocessing start method.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.parallel import ModuleTask
 
@@ -57,6 +57,16 @@ class RepairTask(ModuleTask):
     arch: str = None
     #: Model-check the repaired module and record the evidence.
     verify: bool = False
+
+    def load(self):
+        """The module to repair, loaded without the pipeline's repair
+        stage: that stage would repair it first, under the config's
+        ``repair_model`` and ``repair_arch``, and leave this job's own
+        ``model`` and ``arch`` nothing to repair."""
+        if self.config is not None and self.config.repair_mode:
+            config = replace(self.config, repair_mode=False)
+            return replace(self, config=config).load()
+        return super().load()
 
     def run(self):
         """Load and repair; returns the report dict."""

@@ -327,6 +327,23 @@ def test_repair_power_arch_reported(tas_file, capsys):
     assert payload["arch"] == "power"
 
 
+def test_repair_flag_does_not_repair_twice(tas_file, capsys):
+    # --repair switches on the pipeline's repair stage (wmm/armv8 by
+    # default).  The repair command is itself the repair, so the flag
+    # must not repair the module before the command's power-weighted
+    # synthesis, which would then find nothing left to repair.
+    reports = []
+    for flags in ([], ["--repair"]):
+        assert main(["repair", tas_file, "--level", "original", "--arch",
+                     "power", "--json", *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["wall_seconds"]
+        reports.append(report)
+    plain, flagged = reports
+    assert plain["rounds"] and plain["strengthened"] > 0
+    assert flagged == plain
+
+
 def test_port_repair_flag_prints_summary(tas_file, capsys):
     assert main(["port", tas_file, "--level", "original",
                  "--repair"]) == 0

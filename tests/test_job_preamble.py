@@ -9,7 +9,9 @@ any given config.  These tests pin the two properties that follow:
   at every level (so no config turns Expl or Spin into full AtoMig);
 - the CLI, the serve daemon's ``execute_payload`` and the task specs
   give identical results for the same (source, level, config) — in
-  particular ``repair_mode`` at level ``original`` repairs everywhere.
+  particular ``repair_mode`` at level ``original`` repairs everywhere;
+- a repair job repairs once: ``repair_mode`` does not run the
+  pipeline's repair stage before the job's own synthesis.
 """
 
 import json
@@ -162,3 +164,40 @@ def test_spin_level_keeps_the_papers_table2_verdict(capsys, seq_file):
         rows.append(execute_payload("check", payload)["checks"][0])
     for row in rows:
         assert (row["outcome"], row["states_explored"]) == ("violation", 21)
+
+
+TAS = """
+int lock_word = 0;
+volatile int counter = 0;
+void lock() {
+    while (atomic_cmpxchg_explicit(&lock_word, 0, 1, memory_order_relaxed) != 0) {
+        cpu_relax();
+    }
+}
+void unlock() { lock_word = 0; }
+void worker() { lock(); counter = counter + 1; unlock(); }
+int main() {
+    int t = thread_create(worker);
+    worker();
+    thread_join(t);
+    return counter;
+}
+"""
+
+
+def test_repair_task_repairs_once():
+    """With ``repair_mode`` the pipeline's repair stage would repair the
+    module under wmm/armv8 before the job's power-weighted synthesis
+    ran, leaving it nothing to repair."""
+    plain, flagged = (
+        _strip(RepairTask(name="tas", source=TAS, level="original",
+                          config=config, arch="power").run())
+        for config in (None, AtoMigConfig(repair_mode=True))
+    )
+    assert plain["rounds"] and plain["strengthened"] > 0
+    assert flagged == plain
+    payload = {"modules": [{"name": "tas", "source": TAS}],
+               "level": "original", "config": {"repair_mode": True},
+               "options": {"arch": "power"}}
+    served = execute_payload("repair", payload)["modules"][0]["report"]
+    assert _strip(served) == plain
