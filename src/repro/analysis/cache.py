@@ -6,9 +6,13 @@ inspects, and before this cache each stage rebuilt it from scratch —
 ``AccessIndex._build`` alone recomputed it once per index build.  The
 cache memoizes the per-function and module-wide analyses for one module
 *snapshot*: build it after pre-inlining and thread it through the rest
-of the pipeline.  It must never be stored on the module itself
-(``Module.clone`` deep-copies metadata, and the cached analyses hold
-references into the original IR).
+of the pipeline's read-only detectors.  Owning functions of a forked
+module (``Module.own``) replaces their objects, so no cache outlives an
+ownership change: the pipeline owns once, after every detector has
+read, and writes through the translated references.  It must never be
+stored on the module itself (``Module.fork`` and ``Module.clone``
+deep-copy metadata, and the cached analyses hold references into the
+IR).
 """
 
 

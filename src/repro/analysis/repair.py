@@ -301,8 +301,11 @@ class RepairReport:
         (index-stable), then fence insertions per block in descending
         slot order so earlier indices stay valid.  Makes the report a
         standalone patch description, independent of the instruction
-        objects it was computed from.
+        objects it was computed from.  Owns (:meth:`Module.own`) the
+        functions it writes.
         """
+        module.own({action.function for entry in self.rounds
+                    for action in entry["actions"]})
         for entry in self.rounds:
             strengthens = [a for a in entry["actions"]
                            if a.kind == "strengthen"]
@@ -364,20 +367,34 @@ def relax_ported(module):
         for finding in classify_module(module).findings
         if finding.classification is AccessClass.LOCK
     }
+
+    def porter_fence(instr):
+        return (isinstance(instr, ins.Fence)
+                and instr.marks & PORTER_FENCE_MARKS)
+
+    def porter_access(instr):
+        return (isinstance(instr, (ins.Load, ins.Store, ins.Cmpxchg,
+                                   ins.AtomicRMW))
+                and instr.order is MemoryOrder.SEQ_CST
+                and instr.marks & PORTER_ACCESS_MARKS
+                and instr not in lock_words)
+
+    written = [
+        name for name, function in module.functions.items()
+        if any(porter_fence(instr) or porter_access(instr)
+               for instr in function.instructions())
+    ]
+    mapping = module.own(written)
+    lock_words = {mapping.get(instr, instr) for instr in lock_words}
     relaxed = deleted = 0
-    for function in module.functions.values():
-        for block in function.blocks:
+    for name in written:
+        for block in module.functions[name].blocks:
             kept = []
             for instr in block.instructions:
-                if (isinstance(instr, ins.Fence)
-                        and instr.marks & PORTER_FENCE_MARKS):
+                if porter_fence(instr):
                     deleted += 1
                     continue
-                if (isinstance(instr, (ins.Load, ins.Store, ins.Cmpxchg,
-                                       ins.AtomicRMW))
-                        and instr.order is MemoryOrder.SEQ_CST
-                        and instr.marks & PORTER_ACCESS_MARKS
-                        and instr not in lock_words):
+                if porter_access(instr):
                     instr.order = MemoryOrder.RELAXED
                     relaxed += 1
                 kept.append(instr)
@@ -401,12 +418,12 @@ def resynthesize_ported(module, model="wmm", arch=None, cost_model=None,
     """
     cost_model = cost_model if cost_model is not None else (
         cost_model_for(arch))
-    incumbent = module.clone()
+    incumbent = module.fork()
     _, completion = repair_module(
         incumbent, model=model, cost_model=cost_model, clone=False,
         verify=verify, max_steps=max_steps, max_states=max_states,
     )
-    work = module.clone()
+    work = module.fork()
     relaxed, deleted = relax_ported(work)
     work, report = repair_module(
         work, model=model, cost_model=cost_model, clone=False,
@@ -751,10 +768,12 @@ def repair_module(module, model="wmm", arch=None, cost_model=None,
 
     Returns ``(repaired_module, RepairReport)``.  ``arch`` names the
     cost model (``"armv8"`` / ``"power"``; ``cost_model`` passes one
-    directly and wins).  ``clone=False`` mutates the input in place and
-    is how the pipeline / weakener embed the pass.  ``analyzer`` reuses
-    an existing :class:`RobustnessAnalyzer` already bound to the same
-    module object (the Oracle shares its graph this way).
+    directly and wins).  ``clone=False`` repairs the input in place and
+    is how the pipeline / weakener embed the pass; otherwise it repairs
+    a fork (:meth:`Module.fork`).  A repair that needs a round owns
+    the live functions first; a robust module owns nothing.
+    ``analyzer`` reuses an existing :class:`RobustnessAnalyzer` already
+    bound to the same module (the Oracle shares its graph this way).
 
     ``verify=True`` additionally model-checks the repaired module with
     the robustness fast path and records the evidence — for a
@@ -765,9 +784,9 @@ def repair_module(module, model="wmm", arch=None, cost_model=None,
     if cost_model is None:
         cost_model = cost_model_for(arch)
     if clone:
-        module = module.clone()
+        module = module.fork()
         analyzer = None
-    if analyzer is not None and analyzer.module is not module:
+    if analyzer is not None and not analyzer.bound_to(module):
         analyzer = None
     if analyzer is None:
         analyzer = RobustnessAnalyzer(module, model=model)
@@ -778,6 +797,11 @@ def repair_module(module, model="wmm", arch=None, cost_model=None,
 
     for _round in range(MAX_ROUNDS):
         enum = analyzer.enumerate_critical_cycles()
+        if enum.culprits and module.own(analyzer.live_functions()):
+            # The rounds write only live functions, and the graph must
+            # describe the copies they write.
+            analyzer = RobustnessAnalyzer(module, model=model)
+            enum = analyzer.enumerate_critical_cycles()
         if enum.bounded:
             report.bounded = True
         if not enum.culprits:

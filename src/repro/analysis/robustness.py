@@ -308,6 +308,7 @@ class RobustnessAnalyzer:
         if model == "sc":
             self._nodes = []
             self._conflicts = {}
+            self._live = {}
             return
         # One cache for the whole build, so the race classification,
         # its locksets and the graph share one NonLocalInfo per
@@ -320,7 +321,7 @@ class RobustnessAnalyzer:
             cache = AnalysisCache(module)
         self._callgraph = cache.callgraph()
         scope = cache.scoped(_live_functions(module, self._callgraph))
-        self._live = scope.module.functions
+        self._live = dict(scope.module.functions)
         self._live_callgraph = scope.callgraph()
         races = classify_module(
             scope.module, name_heuristic=name_heuristic, cache=scope
@@ -331,6 +332,18 @@ class RobustnessAnalyzer:
         self._by_instr = {}
         for node in self._nodes:
             self._by_instr.setdefault(node.instr, []).append(node)
+
+    def live_functions(self):
+        """Names of the functions the graph is built over."""
+        return set(self._live)
+
+    def bound_to(self, module):
+        """True while the graph describes ``module``: built on it, and
+        none of its live functions owned (:meth:`Module.own`) since."""
+        return self.module is module and all(
+            module.functions.get(name) is function
+            for name, function in self._live.items()
+        )
 
     # -- graph construction ------------------------------------------------
 
@@ -956,15 +969,15 @@ class RobustnessAnalyzer:
         after the last one, or between two other fences.
         """
         _follows, _open, fence_info = self._run_dataflow(track_fences=True)
-        positions = _instruction_positions(self.module.functions.values())
         findings = []
         for instr, (has_before, has_after) in fence_info.items():
             if has_before and has_after:
                 continue
-            position = positions.get(instr)
-            if position is None:
-                continue
-            function, block_label, index = position
+            # Each finding is placed from its own block: indexing the
+            # whole module would cost more than the lint's findings.
+            block = instr.block
+            function, block_label = block.function.name, block.label
+            index = block.instructions.index(instr)
             if not has_before and not has_after:
                 reason = "no shared access on either side on any path"
             elif not has_before:

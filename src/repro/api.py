@@ -47,8 +47,12 @@ def port_module(module, level=PortingLevel.ATOMIG, config=None,
                 optimize=False):
     """Port ``module`` for a weak memory model.
 
-    Returns ``(ported_module, report)``.  The input module is cloned,
-    never mutated, so original/ported variants can be compared.
+    Returns ``(ported_module, report)``.  The input module is never
+    mutated, so original/ported variants can be compared.  The result
+    is a copy-on-write fork of the input (:meth:`Module.fork`): it
+    shares every function the port did not write with the input.  To
+    write the result, or the input, go through :meth:`Module.own` or
+    take a :meth:`Module.clone`.
 
     ``level`` selects the strategy (AtoMig, its Expl/Spin ablations, the
     Naive porter, or the Lasagne-like baseline); ``config`` overrides

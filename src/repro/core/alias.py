@@ -70,8 +70,26 @@ def explore_aliases(module, seed_keys, index=None, *, cache=None,
     often key it, pulling its true aliases into the buddy closure.
 
     Returns ``(marked_instructions, index)``; the index is reusable
-    across calls on the same module.
+    across calls on the same module.  When marking had to own shared
+    functions of a forked module, the index is rebuilt over the copies.
     """
+    marked, index = find_aliases(
+        module, seed_keys, index, cache=cache, mode=mode,
+        seed_instructions=seed_instructions,
+    )
+    mapping = module.own_holders(marked)
+    if mapping:
+        marked = {mapping.get(instr, instr) for instr in marked}
+        index = AccessIndex(module, mode=mode)
+    for instr in marked:
+        instr.marks.add("sticky")
+    return marked, index
+
+
+def find_aliases(module, seed_keys, index=None, *, cache=None,
+                 mode="type_based", seed_instructions=()):
+    """:func:`explore_aliases`'s buddies, unmarked: ``module`` is only
+    read.  Returns ``(buddies, index)``."""
     index = index or AccessIndex(module, cache=cache, mode=mode)
     keys = set(seed_keys)
     for instr in seed_instructions:
@@ -83,6 +101,5 @@ def explore_aliases(module, seed_keys, index=None, *, cache=None,
         for instr in index.accesses_for(key):
             if "sticky" in instr.marks:
                 continue  # once stickied, always stickied
-            instr.marks.add("sticky")
             marked.add(instr)
     return marked, index

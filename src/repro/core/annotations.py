@@ -12,6 +12,9 @@ Three annotation kinds hint at shared-memory synchronization:
 
 The pass returns the set of location keys it touched so alias
 exploration can propagate "once atomic, always atomic" to their buddies.
+:func:`find_annotations` only reads the module; the porting pipeline
+applies its result after owning the functions it writes
+(:meth:`repro.ir.module.Module.own`).
 """
 
 from repro.analysis.nonlocal_ import NonLocalInfo
@@ -30,16 +33,50 @@ class AnnotationResult:
         self.location_keys = set()
         #: Number of accesses whose order was changed.
         self.conversions = 0
+        #: Marked access -> its sub-mark (``annotation_atomic`` or
+        #: ``annotation_volatile``).
+        self.kinds = {}
+
+    def atomic_instructions(self):
+        """The source-level atomics among the marked accesses."""
+        return {instr for instr, kind in self.kinds.items()
+                if kind == "annotation_atomic"}
+
+    def apply(self, mapping):
+        """Raise every marked access to SC and mark it.
+
+        ``mapping`` is :meth:`Module.own`'s map for the functions that
+        hold the accesses.
+        """
+        self.kinds = {mapping.get(instr, instr): kind
+                      for instr, kind in self.kinds.items()}
+        self.marked_instructions = set(self.kinds)
+        for instr, kind in self.kinds.items():
+            instr.order = MemoryOrder.SEQ_CST
+            # ``annotation`` is the public provenance mark; the ``kind``
+            # sub-mark distinguishes volatile promotions (prunable when
+            # lock-protected) from source-level atomics (never
+            # prunable).
+            instr.marks.add("annotation")
+            instr.marks.add(kind)
 
 
 def analyze_annotations(module, blacklist=(), cache=None):
     """Run the explicit-annotation pass on ``module`` in place."""
+    result = find_annotations(module, blacklist, cache)
+    result.apply(module.own_holders(result.marked_instructions))
+    return result
+
+
+def find_annotations(module, blacklist=(), cache=None):
+    """The explicit-annotation pass's findings; ``module`` is only read."""
     blacklist = set(blacklist)
     result = AnnotationResult()
     for function in module.functions.values():
         info = (cache.nonlocal_info(function) if cache is not None
                 else NonLocalInfo(function))
         _analyze_function(function, info, blacklist, result)
+    result.marked_instructions = set(result.kinds)
     if cache is not None:
         result.location_keys = {
             cache.intern(key) for key in result.location_keys
@@ -72,14 +109,8 @@ def _blacklisted(instr, blacklist):
 
 def _mark(instr, info, result, kind):
     if instr.order is not MemoryOrder.SEQ_CST:
-        instr.order = MemoryOrder.SEQ_CST
         result.conversions += 1
-    # ``annotation`` is the public provenance mark; the ``kind`` sub-mark
-    # distinguishes volatile promotions (prunable when lock-protected)
-    # from source-level atomics (never prunable).
-    instr.marks.add("annotation")
-    instr.marks.add(kind)
-    result.marked_instructions.add(instr)
+    result.kinds[instr] = kind
     key = info.location_key(instr.accessed_pointer())
     if key is not None:
         result.location_keys.add(key)

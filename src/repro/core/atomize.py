@@ -10,7 +10,6 @@ the *explicit* SC fences of Figure 6 / Figure 7:
   in the module (keeps writer-side publication ordered).
 """
 
-from repro.analysis.nonlocal_ import NonLocalInfo
 from repro.ir import instructions as ins
 from repro.ir.instructions import MemoryOrder
 
@@ -48,33 +47,20 @@ def _wrap_with_fences(instr):
     return True
 
 
-def insert_optimistic_fences(module, optimistic_result, sticky_marked,
-                             cache=None, touched=None):
-    """Insert the explicit barriers required by optimistic controls.
+def optimistic_fence_sites(module, optimistic_result, cache):
+    """Where the explicit barriers of optimistic controls go.
 
-    ``sticky_marked`` is the set of accesses added by alias exploration;
-    stores among them that hit optimistic-control locations also get the
-    writer-side fence (the paper: "sticky buddies of optimistic controls
-    additionally get explicit barriers depending on where they are").
-
-    When ``touched`` is a set, the names of functions that received a
-    fence are added to it (for incremental re-verification).
+    Reader side, a fence before every optimistic-control load inside an
+    optimistic loop; writer side, a fence after every store or RMW to
+    an optimistic-control location anywhere in the module (the paper:
+    "sticky buddies of optimistic controls additionally get explicit
+    barriers depending on where they are").  Returns ``(access,
+    after)`` pairs for :func:`insert_fences`; ``module`` is only read.
     """
-    fences = 0
     opt_keys = set(optimistic_result.control_keys)
-    info_cache = {}
-
-    def info_for(function):
-        if cache is not None:
-            return cache.nonlocal_info(function)
-        if function not in info_cache:
-            info_cache[function] = NonLocalInfo(function)
-        return info_cache[function]
-
     control_loads_in_loops = set()
     for opt in optimistic_result.optimistic_loops:
-        function = module.functions[opt.function_name]
-        info = info_for(function)
+        info = cache.nonlocal_info(module.functions[opt.function_name])
         for instr in opt.loop.instructions():
             if not isinstance(instr, (ins.Load, ins.Cmpxchg, ins.AtomicRMW)):
                 continue
@@ -86,42 +72,32 @@ def insert_optimistic_fences(module, optimistic_result, sticky_marked,
 
     # Reader side: fence before each optimistic-control load inside an
     # optimistic loop.
-    for instr in control_loads_in_loops:
-        if isinstance(instr, ins.Load):
-            _insert_before(instr)
-            fences += 1
-            if touched is not None:
-                touched.add(instr.block.function.name)
+    sites = [(instr, False) for instr in control_loads_in_loops
+             if isinstance(instr, ins.Load)]
 
     # Writer side: fence after every store/RMW to an optimistic-control
     # location, module-wide.
     for function in module.functions.values():
-        info = info_for(function)
+        info = cache.nonlocal_info(function)
         for block in function.blocks:
-            for instr in list(block.instructions):
+            for instr in block.instructions:
                 if not isinstance(instr, (ins.Store, ins.Cmpxchg, ins.AtomicRMW)):
                     continue
                 key = info.location_key(instr.accessed_pointer())
                 if key is None or key not in opt_keys:
                     continue
-                _insert_after(instr)
-                fences += 1
-                if touched is not None:
-                    touched.add(function.name)
-    return fences
+                sites.append((instr, True))
+    return sites
 
 
-def _insert_before(instr):
-    block = instr.block
-    index = block.instructions.index(instr)
-    fence = ins.Fence(MemoryOrder.SEQ_CST)
-    fence.marks.add("optimistic")
-    block.insert(index, fence)
-
-
-def _insert_after(instr):
-    block = instr.block
-    index = block.instructions.index(instr)
-    fence = ins.Fence(MemoryOrder.SEQ_CST)
-    fence.marks.add("optimistic")
-    block.insert(index + 1, fence)
+def insert_fences(sites, mapping):
+    """Insert an SC fence at each ``(access, after)`` site; returns the
+    count.  ``mapping`` is :meth:`Module.own`'s map for the functions
+    that hold the sites."""
+    for instr, after in sites:
+        instr = mapping.get(instr, instr)
+        block = instr.block
+        fence = ins.Fence(MemoryOrder.SEQ_CST)
+        fence.marks.add("optimistic")
+        block.insert(block.instructions.index(instr) + int(after), fence)
+    return len(sites)

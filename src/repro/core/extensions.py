@@ -18,6 +18,9 @@ off, preserving the paper's evaluated configuration):
    generated assembly code) as additional entry points."  The non-local
    accesses adjacent to an ``__asm__("" ::: "memory")`` are marked as
    synchronization accesses.
+
+The ``find_*`` functions only read the module; ``detect_*`` also mark
+the accesses they find.
 """
 
 from dataclasses import dataclass, field
@@ -34,10 +37,37 @@ class ExtensionResult:
     polling_loops: list = field(default_factory=list)
     control_instructions: set = field(default_factory=set)
     control_keys: set = field(default_factory=set)
+    #: (access, mark) for every control found, in detection order.
+    marks: list = field(default_factory=list)
+
+    def apply(self, mapping):
+        """Mark every control; ``mapping`` is :meth:`Module.own`'s map
+        for the functions that hold them."""
+        self.marks = [(mapping.get(instr, instr), mark)
+                      for instr, mark in self.marks]
+        self.control_instructions = {instr for instr, _mark in self.marks}
+        for instr, mark in self.marks:
+            instr.marks.add(mark)
 
 
 def detect_polling_loops(module, result=None, cache=None):
-    """Mark the non-local exit dependencies of timing-polling loops.
+    """Mark the non-local exit dependencies of timing-polling loops
+    (:func:`find_polling_loops`)."""
+    result = find_polling_loops(module, result, cache)
+    result.apply(module.own_holders(result.control_instructions))
+    return result
+
+
+def detect_compiler_barrier_seeds(module, result=None, window=3, cache=None):
+    """Mark non-local accesses adjacent to compiler barriers
+    (:func:`find_compiler_barrier_seeds`)."""
+    result = find_compiler_barrier_seeds(module, result, window, cache)
+    result.apply(module.own_holders(result.control_instructions))
+    return result
+
+
+def find_polling_loops(module, result=None, cache=None):
+    """The non-local exit dependencies of timing-polling loops.
 
     Unlike plain spinloop detection, condition (1) is weakened — only
     *some* exit condition needs a non-local dependency — and condition
@@ -68,7 +98,7 @@ def detect_polling_loops(module, result=None, cache=None):
                 continue
             result.polling_loops.append((function.name, loop.header.label))
             for access in nonlocal_reads:
-                access.marks.add("polling_control")
+                result.marks.append((access, "polling_control"))
                 result.control_instructions.add(access)
                 key = influence.nonlocal_info.location_key(
                     access.accessed_pointer()
@@ -85,8 +115,8 @@ def _contains_sleep(loop):
     return False
 
 
-def detect_compiler_barrier_seeds(module, result=None, window=3, cache=None):
-    """Mark non-local accesses adjacent to compiler barriers.
+def find_compiler_barrier_seeds(module, result=None, window=3, cache=None):
+    """The non-local accesses adjacent to compiler barriers.
 
     ``window`` bounds how many instructions on each side of the barrier
     are inspected — the barrier expresses an ordering intent between its
@@ -113,7 +143,7 @@ def detect_compiler_barrier_seeds(module, result=None, window=3, cache=None):
                     pointer = instr.accessed_pointer()
                     if not info.is_nonlocal_pointer(pointer):
                         continue
-                    instr.marks.add("barrier_seed")
+                    result.marks.append((instr, "barrier_seed"))
                     result.control_instructions.add(instr)
                     key = info.location_key(pointer)
                     if key is not None:

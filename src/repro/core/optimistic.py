@@ -45,9 +45,35 @@ class OptimisticResult:
     control_instructions: set = field(default_factory=set)
     control_keys: set = field(default_factory=set)
 
+    def apply(self, mapping):
+        """Mark every optimistic control; ``mapping`` is
+        :meth:`Module.own`'s map for the functions that hold them."""
+        if mapping:
+            for info in self.optimistic_loops:
+                info.spinloop.translate(mapping)
+                info.optimistic_reads = {
+                    mapping.get(instr, instr)
+                    for instr in info.optimistic_reads
+                }
+            self.control_instructions = {
+                mapping.get(instr, instr)
+                for instr in self.control_instructions
+            }
+        for instr in self.control_instructions:
+            instr.marks.add("optimistic_control")
+
 
 def detect_optimistic_loops(module, spinloop_result, cache=None):
-    """Classify each detected spinloop as optimistic or plain.
+    """Classify each detected spinloop as optimistic or plain, and mark
+    the optimistic loops' controls (:func:`find_optimistic_loops`)."""
+    result = find_optimistic_loops(module, spinloop_result, cache)
+    result.apply(module.own_holders(result.control_instructions))
+    return result
+
+
+def find_optimistic_loops(module, spinloop_result, cache=None):
+    """Classify each detected spinloop as optimistic or plain; the
+    module is only read.
 
     Classification is intra-procedural: spinloops are grouped by
     function so each function's use-map and nonlocal-info are built
@@ -85,8 +111,6 @@ def detect_optimistic_loops(module, spinloop_result, cache=None):
                     optimistic_reads.add(instr)
             if not optimistic_reads:
                 continue
-            for control in info.spin_controls:
-                control.marks.add("optimistic_control")
             result.optimistic_loops.append(
                 OptimisticLoopInfo(info, optimistic_reads)
             )

@@ -81,10 +81,15 @@ class PortTask:
                 module, PortingLevel(self.level), config=self.config
             )
             port_seconds = time.perf_counter() - started
+            # The port counted its result (it never optimizes here).
+            barriers = (report.ported_explicit_barriers,
+                        report.ported_implicit_barriers)
+        else:
+            barriers = count_barriers(module)
 
         outcome = PortOutcome(
             name=self.name, level=self.level, report=report,
-            barriers=count_barriers(ported),
+            barriers=barriers,
             build_seconds=build_seconds, port_seconds=port_seconds,
         )
         if self.run_seeds:

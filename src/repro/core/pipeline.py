@@ -1,33 +1,46 @@
 """The end-to-end porting pipeline (Figure 2 of the paper).
 
-``run_porting`` clones the input module, applies the strategy selected
-by :class:`PortingLevel`, verifies the result and returns it together
-with a :class:`PortingReport` describing what was detected and changed.
+``run_porting`` forks the input module (:meth:`Module.fork`), applies
+the strategy selected by :class:`PortingLevel` — each pass owns the
+functions it writes before writing them, so the port copies only those
+and shares the rest with its input — verifies the result and returns
+it together with a :class:`PortingReport` describing what was detected
+and changed.
 
 Every stage is timed into ``report.stats`` (:class:`PipelineStats`);
 ``report.porting_seconds`` covers the transformation proper, while
 post-port verification and barrier recounting live in their own stats
 buckets.  With ``AtoMigConfig.incremental_verify`` (the default) only
-the functions a port actually touched are re-verified: a clone of a
+the functions a port actually touched are re-verified: a fork of a
 verified module is verified by construction, so an untouched function
-cannot have become malformed.
+cannot have become malformed (one owned only to re-point a call is a
+faithful copy).
 """
 
 import time
 
 from repro.analysis.cache import AnalysisCache
-from repro.core.alias import explore_aliases
-from repro.core.annotations import analyze_annotations
-from repro.core.atomize import atomize_accesses, insert_optimistic_fences
+from repro.core.alias import find_aliases
+from repro.core.annotations import find_annotations
+from repro.core.atomize import (
+    atomize_accesses,
+    insert_fences,
+    optimistic_fence_sites,
+)
 from repro.core.config import AtoMigConfig, PortingLevel
-from repro.core.optimistic import detect_optimistic_loops
+from repro.core.optimistic import find_optimistic_loops
 from repro.core.profile import notify_event
 from repro.core.prune import (
-    prune_protected_accesses,
-    prune_thread_local_accesses,
+    demote,
+    find_protected_accesses,
+    find_thread_local_accesses,
 )
-from repro.core.report import PortingReport, count_barriers
-from repro.core.spinloops import detect_spinloops
+from repro.core.report import (
+    PortingReport,
+    function_barriers,
+    total_barriers,
+)
+from repro.core.spinloops import find_spinloops
 from repro.ir.verifier import verify_module
 from repro.transform.inline import inline_module
 from repro.transform.lasagne import lasagne_port
@@ -51,12 +64,14 @@ def run_porting(module, level=PortingLevel.ATOMIG, config=None,
     report = PortingReport(module_name=module.name, level=level.value)
     stats = report.stats
     with stats.stage("count_barriers"):
+        barriers = {name: function_barriers(function)
+                    for name, function in module.functions.items()}
         report.original_explicit_barriers, report.original_implicit_barriers = (
-            count_barriers(module)
+            total_barriers(barriers.values())
         )
 
     with stats.stage("clone"):
-        ported = module.clone()
+        ported = module.fork()
     ported.name = f"{module.name}.{level.value}"
 
     #: Names of functions this port modified; ``None`` means "assume
@@ -110,8 +125,13 @@ def run_porting(module, level=PortingLevel.ATOMIG, config=None,
                 len(ported.functions) - len(touched),
             )
     with stats.stage("count_barriers"):
+        # A function the port shares with its input kept its barriers.
         report.ported_explicit_barriers, report.ported_implicit_barriers = (
-            count_barriers(ported)
+            total_barriers(
+                barriers[name] if function is module.functions.get(name)
+                else function_barriers(function)
+                for name, function in ported.functions.items()
+            )
         )
 
     if optimize:
@@ -140,10 +160,14 @@ def run_porting(module, level=PortingLevel.ATOMIG, config=None,
 
 
 def _run_atomig(ported, level, config, report):
-    """Run the AtoMig stages on ``ported`` in place.
+    """Run the AtoMig stages on the fork ``ported``.
 
-    Returns the set of names of functions the port modified (for the
-    incremental verifier).
+    Every detector reads the module as it is after inlining; then the
+    port owns, once, the functions it writes and applies the marks,
+    order changes, atomization and fences through translated
+    references, in stage order.  No analysis straddles the ownership
+    change.  Returns the set of names of functions the port modified
+    (for the incremental verifier).
     """
     report.alias_mode = config.alias_mode
     stats = report.stats
@@ -161,24 +185,31 @@ def _run_atomig(ported, level, config, report):
 
     seed_keys = set()
     marked = set()
+    vetoed = set()
+    #: (stage, result) of every detector, applied after owning.
+    findings = []
 
     if config.analyze_annotations:
         with stats.stage("annotations"):
-            annotations = analyze_annotations(
+            annotations = find_annotations(
                 ported, config.volatile_blacklist, cache=cache
             )
+        findings.append(("annotations", annotations))
         seed_keys |= annotations.location_keys
         marked |= annotations.marked_instructions
+        vetoed |= annotations.atomic_instructions()
         report.annotation_conversions = annotations.conversions
 
     spinloops = None
     if config.detect_spinloops:
         with stats.stage("spinloops"):
-            spinloops = detect_spinloops(
+            spinloops = find_spinloops(
                 ported, strict=config.strict_spinloop_definition, cache=cache
             )
+        findings.append(("spinloops", spinloops))
         seed_keys |= spinloops.control_keys
         marked |= spinloops.control_instructions
+        vetoed |= spinloops.control_instructions
         report.spinloops = [
             (info.function_name, info.header_label)
             for info in spinloops.spinloops
@@ -187,32 +218,34 @@ def _run_atomig(ported, level, config, report):
 
     if config.detect_polling_loops or config.compiler_barrier_seeds:
         from repro.core.extensions import (
-            detect_compiler_barrier_seeds,
-            detect_polling_loops,
+            find_compiler_barrier_seeds,
+            find_polling_loops,
         )
 
         extensions = None
         with stats.stage("extensions"):
             if config.detect_polling_loops:
-                extensions = detect_polling_loops(ported, cache=cache)
+                extensions = find_polling_loops(ported, cache=cache)
                 if extensions.polling_loops:
                     report.notes.append(
                         f"polling loops detected: {extensions.polling_loops}"
                     )
             if config.compiler_barrier_seeds:
-                extensions = detect_compiler_barrier_seeds(
+                extensions = find_compiler_barrier_seeds(
                     ported, extensions, cache=cache
                 )
         if extensions is not None:
+            findings.append(("extensions", extensions))
             seed_keys |= extensions.control_keys
             marked |= extensions.control_instructions
 
     optimistic = None
     if config.detect_optimistic and spinloops is not None:
         with stats.stage("optimistic"):
-            optimistic = detect_optimistic_loops(
+            optimistic = find_optimistic_loops(
                 ported, spinloops, cache=cache
             )
+        findings.append(("optimistic", optimistic))
         seed_keys |= optimistic.control_keys
         marked |= optimistic.control_instructions
         report.optimistic_loops = [
@@ -229,7 +262,7 @@ def _run_atomig(ported, level, config, report):
         # keyed by its points-to class, pulling its true aliases in.
         seed_instructions = marked if config.alias_mode == "points_to" else ()
         with stats.stage("alias"):
-            sticky, index = explore_aliases(
+            sticky, index = find_aliases(
                 ported, seed_keys, cache=cache, mode=config.alias_mode,
                 seed_instructions=seed_instructions,
             )
@@ -241,9 +274,12 @@ def _run_atomig(ported, level, config, report):
         touched.add(instr.block.function.name)
 
     to_atomize = marked | sticky
+    pruned = set()
     if config.prune_protected:
         with stats.stage("prune_protected"):
-            pruned = prune_protected_accesses(ported, to_atomize, cache=cache)
+            pruned = find_protected_accesses(
+                ported, to_atomize, vetoed, cache
+            )
         to_atomize -= pruned
         report.pruned_protected = len(pruned)
         if pruned:
@@ -252,10 +288,11 @@ def _run_atomig(ported, level, config, report):
                 f"left plain"
             )
 
+    local_pruned = set()
     if config.alias_mode == "points_to":
         with stats.stage("prune_thread_local"):
-            local_pruned = prune_thread_local_accesses(
-                ported, to_atomize, cache
+            local_pruned = find_thread_local_accesses(
+                to_atomize, cache, vetoed
             )
         to_atomize -= local_pruned
         report.pruned_thread_local = len(local_pruned)
@@ -264,21 +301,44 @@ def _run_atomig(ported, level, config, report):
                 f"escape pruning: {len(local_pruned)} thread-local "
                 f"accesses left plain"
             )
+
+    fence_sites = ()
+    if optimistic is not None and optimistic.optimistic_loops:
+        with stats.stage("fences"):
+            fence_sites = optimistic_fence_sites(ported, optimistic, cache)
+        touched.update(instr.block.function.name for instr, _ in fence_sites)
+
+    # The write phase: own what the port writes, then write.
+    with stats.stage("clone"):
+        mapping = ported.own(touched)
+    for stage, result in findings:
+        with stats.stage(stage):
+            result.apply(mapping)
+    if sticky:
+        with stats.stage("alias"):
+            for instr in sticky:
+                mapping.get(instr, instr).marks.add("sticky")
+    if pruned:
+        with stats.stage("prune_protected"):
+            demote(pruned, "pruned_protected", mapping)
+    if local_pruned:
+        with stats.stage("prune_thread_local"):
+            demote(local_pruned, "pruned_thread_local", mapping)
+    if config.alias_mode == "points_to":
         with stats.stage("provenance"):
             report.alias_provenance = _alias_provenance(
-                index, to_atomize, local_pruned
+                index, to_atomize, local_pruned, mapping
             )
 
     with stats.stage("atomize"):
         atomize_accesses(
-            to_atomize, force_explicit=config.force_explicit_barriers
+            {mapping.get(instr, instr) for instr in to_atomize},
+            force_explicit=config.force_explicit_barriers,
         )
 
-    if optimistic is not None and optimistic.optimistic_loops:
+    if fence_sites:
         with stats.stage("fences"):
-            report.fences_inserted = insert_optimistic_fences(
-                ported, optimistic, sticky, cache=cache, touched=touched
-            )
+            report.fences_inserted = insert_fences(fence_sites, mapping)
 
     warnings = ported.metadata.get("lowering_warnings")
     if warnings:
@@ -286,7 +346,7 @@ def _run_atomig(ported, level, config, report):
     return touched
 
 
-def _alias_provenance(index, to_atomize, local_pruned):
+def _alias_provenance(index, to_atomize, local_pruned, mapping):
     """String-only per-access provenance for the porting report.
 
     One entry per interesting access: atomized accesses whose key came
@@ -298,6 +358,8 @@ def _alias_provenance(index, to_atomize, local_pruned):
     walks every memory access once), and ordering uses the stable
     (function, block, ordinal) identity recorded there — ``repr`` of an
     unnamed instruction is ``id()``-based and unstable across runs.
+    The index holds the accesses as they were before owning;
+    ``mapping`` gives their written copies.
     """
     if index is None:
         return []
@@ -309,14 +371,15 @@ def _alias_provenance(index, to_atomize, local_pruned):
         key=lambda i: positions.get(i, unknown),
     ):
         keyed = index.key_of.get(instr)
-        pruned = "pruned_thread_local" in instr.marks
+        written = mapping.get(instr, instr)
+        pruned = "pruned_thread_local" in written.marks
         if not pruned and (keyed is None or keyed[1] == "type"):
             continue
         function_name, block_label, _ = positions.get(instr, unknown)
         entries.append({
             "function": function_name,
             "block": block_label,
-            "instr": repr(instr),
+            "instr": repr(written),
             "key": repr(keyed[0]) if keyed else None,
             "origin": keyed[1] if keyed else "none",
             "action": "pruned_thread_local" if pruned else "atomized",

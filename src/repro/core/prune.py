@@ -28,37 +28,29 @@ _VETO_MARKS = frozenset(
 )
 
 
-def prune_protected_accesses(module, candidates, race_report=None, cache=None):
-    """Demote protected ``candidates`` back to plain accesses.
+def find_protected_accesses(module, candidates, vetoed, cache):
+    """The lock-protected ``candidates`` to leave plain.
 
     ``candidates`` is the set of marked instructions about to be
-    atomized.  Returns the pruned subset; each pruned access gets a
-    ``pruned_protected`` provenance mark and its order reset to plain.
-    The race report used for the decision is stored in
-    ``module.metadata["lint_report"]`` for downstream reporting.
+    atomized; ``vetoed`` holds accesses that carry a veto mark once the
+    detectors' marks are applied.  The functions are only read
+    (:func:`demote` applies the result); the race report used for the
+    decision is stored in ``module.metadata["lint_report"]`` for
+    downstream reporting.
     """
-    report = race_report or classify_module(module, cache=cache)
+    report = classify_module(module, cache=cache)
     module.metadata["lint_report"] = report
     protected = report.protected_instructions(structural_only=True)
-
-    pruned = set()
-    for instr in candidates:
-        if instr not in protected:
-            continue
-        if not isinstance(instr, (ins.Load, ins.Store)):
-            continue
-        if instr.marks & _VETO_MARKS:
-            continue
-        instr.order = MemoryOrder.NOT_ATOMIC
-        instr.marks.add("pruned_protected")
-        pruned.add(instr)
-    return pruned
+    return {
+        instr for instr in candidates
+        if instr in protected and _prunable(instr, vetoed)
+    }
 
 
 def prune_thread_local_accesses(module, candidates, cache):
     """Demote ``candidates`` whose memory is provably thread-local.
 
-    The points-to counterpart of :func:`prune_protected_accesses`: a
+    The points-to counterpart of :func:`find_protected_accesses`: a
     sticky buddy acquired through type-based matching (same struct
     field, same global array) may target an object no other thread can
     ever reach — a stack snapshot, a private accumulator.  The
@@ -67,16 +59,34 @@ def prune_thread_local_accesses(module, candidates, cache):
     source-level atomics are never demoted, and RMWs have nothing to
     demote.
     """
+    pruned = find_thread_local_accesses(candidates, cache)
+    return demote(pruned, "pruned_thread_local",
+                  module.own_holders(pruned))
+
+
+def find_thread_local_accesses(candidates, cache, vetoed=frozenset()):
+    """The ``candidates`` :func:`prune_thread_local_accesses` demotes."""
     escape = cache.thread_escape()
-    pruned = set()
-    for instr in candidates:
-        if not isinstance(instr, (ins.Load, ins.Store)):
-            continue
-        if instr.marks & _VETO_MARKS:
-            continue
-        if not escape.pointer_is_thread_local(instr.accessed_pointer()):
-            continue
+    return {
+        instr for instr in candidates
+        if _prunable(instr, vetoed)
+        and escape.pointer_is_thread_local(instr.accessed_pointer())
+    }
+
+
+def demote(instructions, mark, mapping):
+    """Reset ``instructions`` to plain accesses marked ``mark``.
+
+    ``mapping`` is :meth:`Module.own`'s map for the functions that hold
+    them.  Returns the demoted (translated) accesses.
+    """
+    demoted = {mapping.get(instr, instr) for instr in instructions}
+    for instr in demoted:
         instr.order = MemoryOrder.NOT_ATOMIC
-        instr.marks.add("pruned_thread_local")
-        pruned.add(instr)
-    return pruned
+        instr.marks.add(mark)
+    return demoted
+
+
+def _prunable(instr, vetoed):
+    return (isinstance(instr, (ins.Load, ins.Store))
+            and not instr.marks & _VETO_MARKS and instr not in vetoed)

@@ -291,9 +291,24 @@ def count_barriers(module):
     the stand-alone fences among them are explicit and the atomic
     accesses implicit, matching the paper's BExpl / BImpl columns.
     """
-    explicit = 0
-    implicit = 0
-    for instr in module.instructions():
+    return total_barriers(
+        function_barriers(function) for function in module.functions.values()
+    )
+
+
+def total_barriers(pairs):
+    """Sum (explicit, implicit) barrier pairs."""
+    explicit = implicit = 0
+    for pair_explicit, pair_implicit in pairs:
+        explicit += pair_explicit
+        implicit += pair_implicit
+    return explicit, implicit
+
+
+def function_barriers(function):
+    """:func:`count_barriers` of one function."""
+    explicit = implicit = 0
+    for instr in function.instructions():
         if is_barrier(instr):
             if isinstance(instr, Fence):
                 explicit += 1

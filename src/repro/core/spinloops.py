@@ -15,7 +15,7 @@ conditions are marked as *spin controls*.
 from dataclasses import dataclass, field
 
 from repro.analysis.influence import InfluenceAnalysis
-from repro.analysis.loops import find_loops
+from repro.analysis.loops import Loop, find_loops
 from repro.ir import instructions as ins
 
 
@@ -34,6 +34,15 @@ class SpinloopInfo:
     def header_label(self):
         return self.loop.header.label
 
+    def translate(self, mapping):
+        """Re-point the loop and its controls through :meth:`Module.own`'s
+        ``mapping``."""
+        loop = self.loop
+        self.loop = Loop(mapping.get(loop.header, loop.header),
+                         {mapping.get(block, block) for block in loop.body})
+        self.spin_controls = {mapping.get(instr, instr)
+                              for instr in self.spin_controls}
+
 
 @dataclass
 class SpinloopResult:
@@ -45,14 +54,38 @@ class SpinloopResult:
     #: Union of all spin-control location keys.
     control_keys: set = field(default_factory=set)
 
+    def apply(self, mapping):
+        """Mark every spin control.
+
+        ``mapping`` is :meth:`Module.own`'s map for the functions that
+        hold the controls; the loops and controls are translated.
+        """
+        if mapping:
+            for info in self.spinloops:
+                info.translate(mapping)
+            self.control_instructions = {
+                mapping.get(instr, instr)
+                for instr in self.control_instructions
+            }
+        for instr in self.control_instructions:
+            instr.marks.add("spin_control")
+
 
 def detect_spinloops(module, strict=False, cache=None):
-    """Detect spinloops in every function of ``module``.
+    """Detect spinloops in every function of ``module`` and mark their
+    spin controls.
 
     ``strict`` switches to the more restrictive literature definition
     (no stores inside the loop body at all) — the ablation the paper
     argues against in §3.5.
     """
+    result = find_spinloops(module, strict, cache)
+    result.apply(module.own_holders(result.control_instructions))
+    return result
+
+
+def find_spinloops(module, strict=False, cache=None):
+    """:func:`detect_spinloops`'s findings; ``module`` is only read."""
     result = SpinloopResult()
     intern = cache.intern if cache is not None else (lambda key: key)
     for function in module.functions.values():
@@ -112,7 +145,6 @@ def _classify_loop(function, loop, influence, strict):
 
     info = SpinloopInfo(function.name, loop)
     for access in nonlocal_reads:
-        access.marks.add("spin_control")
         info.spin_controls.add(access)
         key = influence.nonlocal_info.location_key(access.accessed_pointer())
         if key is not None:

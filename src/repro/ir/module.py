@@ -106,6 +106,14 @@ class Module:
         #: Arbitrary metadata recorded by passes (e.g. porting reports).
         self.metadata = {}
 
+    #: Names of the functions whose objects another module may also
+    #: hold (:meth:`fork`); a pass owns (:meth:`own`) one before writing it.
+    _shared = frozenset()
+    #: callee name -> names of the functions that call or spawn it;
+    #: built once per module when first needed (:meth:`know_callers`),
+    #: kept current by :meth:`note_call`.
+    _callers = None
+
     def add_global(self, global_var):
         if global_var.name in self.globals:
             raise IRError(f"duplicate global @{global_var.name}")
@@ -122,14 +130,120 @@ class Module:
         for function in self.functions.values():
             yield from function.instructions()
 
-    # -- cloning ---------------------------------------------------------
+    # -- copying ---------------------------------------------------------
+
+    def fork(self):
+        """A copy-on-write copy: both modules hold the same functions.
+
+        Functions and globals are shared objects (no pass writes a
+        global); metadata is deep-copied, as by :meth:`clone`.  From
+        here on neither module may write a shared function in place: a
+        pass first owns (:meth:`own`) the functions it will write.
+        """
+        new = Module(self.name)
+        new.globals = dict(self.globals)
+        new.functions = dict(self.functions)
+        new.struct_types = self.struct_types
+        new.metadata = copy.deepcopy(self.metadata)
+        self._shared = set(self.functions)
+        new._shared = set(self.functions)
+        return new
+
+    def own(self, names):
+        """Copy the shared functions among ``names`` into this module.
+
+        Every still-shared function that calls or spawns an owned one
+        is owned too, transitively, and every call into an owned
+        function is re-pointed at its copy, so ``call.callee`` stays
+        ``self.functions[call.callee.name]`` throughout the module.  A
+        copy keeps every block label and instruction index.  Returns
+        the old -> new map of the copies' blocks, instructions and
+        arguments (globals map to themselves); empty when nothing
+        among ``names`` was shared.  Analyses built before the call
+        hold the old objects: translate with ``mapping.get(x, x)``.
+        """
+        shared = self._shared
+        pending = [name for name in names if name in shared]
+        if not pending:
+            return {}
+        owned = set(pending)
+        private = len(shared) < len(self.functions)
+        if private or not shared <= owned:
+            callers = self._callers_map()
+            while pending:
+                for caller in callers.get(pending.pop(), ()):
+                    if caller in shared and caller not in owned:
+                        owned.add(caller)
+                        pending.append(caller)
+        shared -= owned
+
+        value_map = {gvar: gvar for gvar in self.globals.values()}
+        sources = [self.functions[name] for name in owned]
+        # Shells first, so the copies' calls resolve to the copies.
+        for source in sources:
+            shell = Function(
+                source.name,
+                source.return_type,
+                [arg.name for arg in source.arguments],
+                [arg.ctype for arg in source.arguments],
+            )
+            self.functions[source.name] = shell
+            for old_arg, new_arg in zip(source.arguments, shell.arguments):
+                value_map[old_arg] = new_arg
+        for source in sources:
+            _clone_function_body(
+                source, self.functions[source.name], self, value_map
+            )
+        if private:
+            repoint = {
+                caller
+                for name in owned
+                for caller in self._callers.get(name, ())
+                if caller not in owned
+            }
+            for caller in repoint:
+                for instr in self.functions[caller].instructions():
+                    if isinstance(instr, (ins.Call, ins.ThreadCreate)):
+                        instr.callee = self.functions[instr.callee.name]
+        return value_map
+
+    def own_holders(self, instructions):
+        """:meth:`own` the functions that hold ``instructions``."""
+        return self.own({instr.block.function.name for instr in instructions})
+
+    def note_call(self, caller, callee):
+        """Record that function ``caller`` now calls ``callee``."""
+        if self._callers is not None:
+            self._callers.setdefault(callee, set()).add(caller)
+
+    def know_callers(self, edges):
+        """Build the callers map from ``(caller, callee)`` pairs that
+        cover every call and spawn of the module (a pass that has just
+        built a call graph saves :meth:`own` the walk); a map already
+        built is kept."""
+        if self._callers is None:
+            callers = self._callers = {}
+            for caller, callee in edges:
+                callers.setdefault(callee, set()).add(caller)
+
+    def _callers_map(self):
+        self.know_callers(
+            (function.name, instr.callee.name)
+            for function in self.functions.values()
+            for block in function.blocks
+            for instr in block.instructions
+            if isinstance(instr, (ins.Call, ins.ThreadCreate))
+        )
+        return self._callers
 
     def clone(self):
-        """Deep-copy the module so a porter can transform it in isolation.
+        """Deep-copy the module: a fully disjoint copy.
 
         Globals, functions, blocks and instructions are all fresh
         objects; operand references are remapped onto their clones.
-        Struct types are shared (they are immutable after sema).
+        Struct types are shared (they are immutable after sema).  The
+        passes write through :meth:`fork` and :meth:`own` instead,
+        which copy only the functions they write.
         """
         new = Module(self.name)
         new.struct_types = self.struct_types
@@ -170,6 +284,7 @@ def _clone_function_body(source, target, new_module, value_map):
         clone = BasicBlock(block.label, target)
         target.blocks.append(clone)
         block_map[block] = clone
+        value_map[block] = clone
     target._label_counter = source._label_counter
     target._value_counter = source._value_counter
 

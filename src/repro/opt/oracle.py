@@ -132,13 +132,15 @@ class Oracle:
         fences are deleted, but no access appears or disappears), so
         the analyzer's order-independent conflict graph stays valid
         across queries; only the cheap program-order dataflow reruns.
+        Owning a live function (:meth:`Module.own`) replaces its
+        objects, so the graph is rebuilt then.
         """
         from repro.analysis.robustness import RobustnessAnalyzer
 
         self.robustness_checks += 1
         if self.model == "sc":
             return True
-        if self._analyzer is None or self._analyzer.module is not module:
+        if self._analyzer is None or not self._analyzer.bound_to(module):
             self._analyzer = RobustnessAnalyzer(module, model=self.model)
         return self._analyzer.analyze(max_witnesses=1).robust
 

@@ -49,8 +49,10 @@ def optimize_module(module, model="wmm", max_steps=2500,
     """Weaken ``module``'s barriers as far as the oracle certifies.
 
     Returns ``(optimized_module, OptimizationReport)``.  The input
-    module is cloned (unless ``clone=False``), so ported and optimized
-    variants can be compared side by side.
+    module is forked (unless ``clone=False``), so ported and optimized
+    variants can be compared side by side; the weakener owns
+    (:meth:`Module.own`) the functions that hold candidates before it
+    writes them.
 
     ``counts`` is an optional ``(function, block, index) -> executed``
     mapping (see ``run_module(record_counts=True)``) that weights the
@@ -70,7 +72,7 @@ def optimize_module(module, model="wmm", max_steps=2500,
     ``report.repair``.
     """
     started = time.perf_counter()
-    work = module.clone() if clone else module
+    work = module.fork() if clone else module
     costs = cost_model or CostModel()
     report = OptimizationReport(
         module_name=module.name, model=model,
@@ -121,6 +123,9 @@ def optimize_module(module, model="wmm", max_steps=2500,
         work, costs, counts=counts, require_marks=require_marks
     )
     report.candidates = len(candidates)
+    mapping = work.own_holders(candidate.instr for candidate in candidates)
+    for candidate in candidates:
+        candidate.instr = mapping.get(candidate.instr, candidate.instr)
 
     while True:
         active = [

@@ -23,7 +23,19 @@ def inline_module(module, size_limit=80, touched=None):
     incremental verifier uses this to know what to re-check.
     """
     graph = CallGraph(module)
+    module.know_callers(
+        (site.caller, site.callee)
+        for site in graph.call_sites + graph.spawn_sites
+    )
     recursive = graph.recursive_functions()
+    # Own every caller with an eligible site before the first splice.
+    # Inlining only grows callees, and bottom-up, so every caller the
+    # loop below inlines into is among them.
+    module.own({
+        site.caller for site in graph.call_sites
+        if _eligible(site.caller, module.functions[site.callee],
+                     recursive, size_limit)
+    })
     inlined = 0
     for name in graph.bottom_up_order():
         function = module.functions[name]
@@ -38,6 +50,13 @@ def _function_size(function):
     return sum(len(block.instructions) for block in function.blocks)
 
 
+def _eligible(caller_name, callee, recursive, size_limit):
+    """May a call from ``caller_name`` to ``callee`` be inlined?"""
+    return (callee.name != caller_name and callee.name not in recursive
+            and bool(callee.blocks)
+            and _function_size(callee) <= size_limit)
+
+
 def _inline_into(module, caller, recursive, size_limit):
     # Every label of the caller, kept current across its call sites so
     # each new label is checked against all earlier ones.
@@ -50,12 +69,8 @@ def _inline_into(module, caller, recursive, size_limit):
             for instr in list(block.instructions):
                 if not isinstance(instr, ins.Call):
                     continue
-                callee = instr.callee
-                if callee.name == caller.name or callee.name in recursive:
-                    continue
-                if not callee.blocks:
-                    continue
-                if _function_size(callee) > size_limit:
+                if not _eligible(caller.name, instr.callee, recursive,
+                                 size_limit):
                     continue
                 _inline_call_site(module, caller, instr, labels)
                 inlined += 1
@@ -123,6 +138,8 @@ def _inline_call_site(module, caller, call, labels):
             )
             cloned.source_line = source_instr.source_line
             cloned.marks = set(source_instr.marks)
+            if isinstance(cloned, (ins.Call, ins.ThreadCreate)):
+                module.note_call(caller.name, cloned.callee.name)
             if source_instr.name is not None:
                 cloned.name = f"inl.{source_instr.name}.{caller.next_value_name()}"
             clone_block.append(cloned)

@@ -21,24 +21,49 @@ from repro.ir.instructions import MemoryOrder
 def lasagne_port(module):
     """Apply the fence-insertion + elimination pipeline.
 
-    Returns ``(inserted, removed)`` fence counts.
+    Owns (:meth:`Module.own`) every function it rewrites.  Returns
+    ``(inserted, removed)`` fence counts.
     """
-    inserted = _insert_fences(module)
-    removed = eliminate_redundant_fences(module)
+    shared, names = _scan(module)
+    functions, shared = _own(module, names, shared)
+    inserted = _insert_fences(functions, shared)
+    removed = _eliminate(functions, shared)
     return inserted, removed
 
 
-def _insert_fences(module):
-    inserted = 0
+def _scan(module):
+    """(non-local accesses, names of the functions holding one or a
+    Lasagne fence); ``module`` is only read."""
+    shared = set()
+    names = set()
     for function in module.functions.values():
         info = NonLocalInfo(function)
+        for instr in function.instructions():
+            if instr.is_memory_access():
+                if info.is_nonlocal_pointer(instr.accessed_pointer()):
+                    shared.add(instr)
+                    names.add(function.name)
+            elif isinstance(instr, ins.Fence) and "lasagne" in instr.marks:
+                names.add(function.name)
+    return shared, names
+
+
+def _own(module, names, shared):
+    """Own ``names``; returns their functions and the translated
+    ``shared`` accesses."""
+    mapping = module.own(names)
+    functions = [function for name, function in module.functions.items()
+                 if name in names]
+    return functions, {mapping.get(instr, instr) for instr in shared}
+
+
+def _insert_fences(functions, shared):
+    inserted = 0
+    for function in functions:
         for block in function.blocks:
             index = 0
             while index < len(block.instructions):
-                instr = block.instructions[index]
-                if instr.is_memory_access() and info.is_nonlocal_pointer(
-                    instr.accessed_pointer()
-                ):
+                if block.instructions[index] in shared:
                     fence = ins.Fence(MemoryOrder.SEQ_CST)
                     fence.marks.add("lasagne")
                     block.insert(index, fence)
@@ -59,12 +84,15 @@ def eliminate_redundant_fences(module):
     pair TSO never orders.  (The real Lasagne additionally removes
     fences around accesses its binary-level analyses prove unrelated to
     synchronization; see EXPERIMENTS.md for the resulting magnitude
-    difference.)
+    difference.)  Returns the number of fences removed.
     """
+    shared, names = _scan(module)
+    return _eliminate(*_own(module, names, shared))
+
+
+def _eliminate(functions, shared):
     removed = 0
-    info_cache = {}
-    for function in module.functions.values():
-        info = info_cache.setdefault(function, NonLocalInfo(function))
+    for function in functions:
         for block in function.blocks:
             kept = []
             previous_shared = None  # "load" | "store" | None
@@ -75,9 +103,7 @@ def eliminate_redundant_fences(module):
                         removed += 1  # adjacent duplicate
                     pending_fence = instr
                     continue
-                if instr.is_memory_access() and info.is_nonlocal_pointer(
-                    instr.accessed_pointer()
-                ):
+                if instr in shared:
                     is_load = isinstance(instr, ins.Load)
                     if pending_fence is not None:
                         if previous_shared == "store" and is_load:

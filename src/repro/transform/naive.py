@@ -12,21 +12,25 @@ from repro.ir.instructions import MemoryOrder
 
 
 def naive_port(module):
-    """Convert all non-local accesses to SC atomics; returns #converted."""
-    converted = 0
+    """Convert all non-local accesses to SC atomics; returns #converted.
+
+    Owns (:meth:`Module.own`) every function it rewrites.
+    """
+    sites = []
     for function in module.functions.values():
         info = NonLocalInfo(function)
         for instr in function.instructions():
             if isinstance(instr, (ins.Load, ins.Store)):
-                if not info.is_nonlocal_pointer(instr.pointer):
-                    continue
-                if instr.order is not MemoryOrder.SEQ_CST:
-                    instr.order = MemoryOrder.SEQ_CST
-                    converted += 1
-                instr.marks.add("naive")
+                if info.is_nonlocal_pointer(instr.pointer):
+                    sites.append(instr)
             elif isinstance(instr, (ins.Cmpxchg, ins.AtomicRMW)):
-                if instr.order is not MemoryOrder.SEQ_CST:
-                    instr.order = MemoryOrder.SEQ_CST
-                    converted += 1
-                instr.marks.add("naive")
+                sites.append(instr)
+    mapping = module.own_holders(sites)
+    converted = 0
+    for instr in sites:
+        instr = mapping.get(instr, instr)
+        if instr.order is not MemoryOrder.SEQ_CST:
+            instr.order = MemoryOrder.SEQ_CST
+            converted += 1
+        instr.marks.add("naive")
     return converted

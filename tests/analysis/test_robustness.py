@@ -309,6 +309,60 @@ def test_live_fences_are_not_flagged():
     assert find_dead_fences(module) == []
 
 
+DEAD_FENCES_IN_MAIN_AND_DEAD_CODE = """
+int data = 0;
+int flag = 0;
+
+void unused(int x) {
+    atomic_thread_fence(memory_order_seq_cst);
+    data = x;
+    atomic_thread_fence(memory_order_seq_cst);
+    flag = 1;
+    atomic_thread_fence(memory_order_release);
+}
+
+void producer() {
+    data = 1;
+    atomic_thread_fence(memory_order_seq_cst);
+    flag = 1;
+}
+
+int main() {
+    atomic_thread_fence(memory_order_seq_cst);
+    int t = thread_create(producer);
+    int f = flag;
+    atomic_thread_fence(memory_order_acquire);
+    int d = data;
+    thread_join(t);
+    if (f == 1) {
+        atomic_thread_fence(memory_order_seq_cst);
+    }
+    assert(f == 0 || d == 1);
+    return 0;
+}
+"""
+
+
+def test_dead_fences_are_placed_in_main_and_in_dead_functions():
+    """Each finding names its function, block and index in the block,
+    in main (entry and branch blocks) and in a function nothing calls,
+    whose accesses never run and so never order anything."""
+    module = compile_source(DEAD_FENCES_IN_MAIN_AND_DEAD_CODE, "dead")
+    neither = "no shared access on either side on any path"
+    assert [
+        (f["function"], f["block"], f["index"], f["order"], f["reason"])
+        for f in find_dead_fences(module)
+    ] == [
+        ("main", "entry0", 0, "seq_cst",
+         "no shared access before it on any path"),
+        ("main", "if.then1", 0, "seq_cst",
+         "no shared access after it on any path"),
+        ("unused", "entry0", 2, "seq_cst", neither),
+        ("unused", "entry0", 5, "seq_cst", neither),
+        ("unused", "entry0", 7, "release", neither),
+    ]
+
+
 # -- RMW half delay semantics ----------------------------------------------
 #
 # Only the read half of an RMW acquires and only the write half
