@@ -25,19 +25,18 @@ from repro import PortingLevel, check_module, compile_source, port_module
 from repro.bench.corpus import get_benchmark
 from repro.ir.printer import print_function
 from repro.opt import Oracle, enumerate_candidates, optimize_module
-from repro.opt.candidates import apply_proposal
 from repro.vm.costs import CostModel, estimate_cost
 
 
-def walk_one_site(module, candidate, oracle, costs):
+def walk_one_site(candidate, oracle):
     """Weaken one site rung by rung, reporting each oracle verdict."""
     while True:
         proposal = candidate.proposal()
         if proposal is None:
             break
         label = "delete" if proposal == "delete" else proposal.name.lower()
-        undo = apply_proposal(candidate)
-        if oracle.matches(module):
+        undo = oracle.apply(candidate)
+        if oracle.matches():
             candidate.accept()
             print(f"      try {label:18} -> verdict unchanged, commit")
         else:
@@ -67,11 +66,12 @@ def main():
     # batches and bisects, but the per-rung verdicts are easier to see
     # this way.
     work = ported.clone()
-    oracle = Oracle()
-    baseline = oracle.establish(work)
+    oracle = Oracle(work)
+    baseline = oracle.establish()
     print(f"== baseline verdict: {baseline.outcome} "
           f"({baseline.states_explored} states) ==")
     candidates = enumerate_candidates(work, costs)
+    oracle.track(candidates)
     print(f"{len(candidates)} candidate sites, "
           f"most expensive first:")
     for candidate in candidates:
@@ -79,7 +79,7 @@ def main():
         print(f"   {function}.{block}[{index}] "
               f"({candidate.kind}, saves up to "
               f"{candidate.savings(costs)} cycles):")
-        walk_one_site(work, candidate, oracle, costs)
+        walk_one_site(candidate, oracle)
     naive_checks = oracle.checks_run
     print(f"naive ladder walk: {naive_checks} oracle checks")
     print()

@@ -340,10 +340,7 @@ class RobustnessAnalyzer:
     def bound_to(self, module):
         """True while the graph describes ``module``: built on it, and
         none of its live functions owned (:meth:`Module.own`) since."""
-        return self.module is module and all(
-            module.functions.get(name) is function
-            for name, function in self._live.items()
-        )
+        return self.module is module and module.holds(self._live)
 
     # -- graph construction ------------------------------------------------
 

@@ -34,12 +34,12 @@ def find_protected_accesses(module, candidates, vetoed, cache):
     ``candidates`` is the set of marked instructions about to be
     atomized; ``vetoed`` holds accesses that carry a veto mark once the
     detectors' marks are applied.  The functions are only read
-    (:func:`demote` applies the result); the race report used for the
-    decision is stored in ``module.metadata["lint_report"]`` for
-    downstream reporting.
+    (:func:`demote` applies the result), and the race report used for
+    the decision is dropped: its findings reference instructions, so
+    keeping it in the port's metadata would make every fork and clone
+    of the port deep-copy IR.
     """
     report = classify_module(module, cache=cache)
-    module.metadata["lint_report"] = report
     protected = report.protected_instructions(structural_only=True)
     return {
         instr for instr in candidates

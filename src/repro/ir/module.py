@@ -211,6 +211,13 @@ class Module:
         """:meth:`own` the functions that hold ``instructions``."""
         return self.own({instr.block.function.name for instr in instructions})
 
+    def holds(self, functions):
+        """True while every ``name -> function`` of ``functions`` is
+        still this module's function of that name: what was built over
+        them describes the module until one is owned (:meth:`own`)."""
+        return all(self.functions.get(name) is function
+                   for name, function in functions.items())
+
     def note_call(self, caller, callee):
         """Record that function ``caller`` now calls ``callee``."""
         if self._callers is not None:

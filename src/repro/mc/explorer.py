@@ -265,7 +265,8 @@ def _independent(key_a, key_b):
 
 
 def check_module(module, model="wmm", max_steps=2500,
-                 max_states=2_000_000, robustness=False, por="sleep"):
+                 max_states=2_000_000, robustness=False, por="sleep",
+                 context=None):
     """Exhaustively check all executions of ``module`` from ``main``.
 
     Returns the first assertion violation found (depth-first order) or
@@ -291,6 +292,10 @@ def check_module(module, model="wmm", max_steps=2500,
     check returns ``ok`` immediately with zero explored states and
     ``verdict_source="robustness"``.  Non-robust modules fall back to
     full exploration.
+
+    ``context`` is a :class:`Context` already built for ``module`` and
+    ``model`` that the check runs on instead of building its own; the
+    weakener's oracle passes the one it keeps for all its checks.
     """
     if por not in PORS:
         raise ValueError(f"unknown por backend {por!r} (use one of {PORS})")
@@ -310,8 +315,8 @@ def check_module(module, model="wmm", max_steps=2500,
                 f"equals the SC verdict without exploration"
             )
             return result
-    model_obj = get_model(model)
-    context = Context(module, model_obj)
+    if context is None:
+        context = Context(module, get_model(model))
     machine = Machine(context, max_steps=max_steps)
     result = CheckResult(model=model)
     stats = ExplorationStats(por=por)

@@ -74,12 +74,27 @@ def is_pending(value):
 
 
 class Context:
-    """Immutable per-check data shared by all explored states."""
+    """Static data about one (module, model), shared by every explored
+    state and by every check run on it.
+
+    Every table except the decode table (``codes``) is keyed by
+    instruction identity and reads pointers and operands, never memory
+    orders, and a fence has no operands and no result: rewriting an
+    order, deleting a fence or re-inserting it leaves them all valid.
+    The decoded code of a block captures its instructions' orders and
+    indices, so whoever writes the module between two checks drops the
+    written block's code (:meth:`invalidate`).  Owning a function of
+    ``main``'s closure (:meth:`Module.own`) replaces its objects; the
+    context no longer describes the module then (:meth:`bound_to`).
+    """
 
     def __init__(self, module, model):
         self.module = module
         self.model = model
         self.interner = Interner()
+        # Basic block -> its decoded code (Machine._decode), filled as
+        # checks enter blocks.
+        self.codes = {}
         self.global_addr = {}
         self.global_layout = []  # (addr, value) initial memory image
         self.global_regions = []  # (start, end, name), sorted by start
@@ -96,6 +111,7 @@ class Context:
         # ever get a frame, so every per-function table below covers
         # just that closure.
         functions = _main_closure(module)
+        self.functions = {function.name: function for function in functions}
         # Liveness-driven env GC: operand death points and write-skips
         # (see repro.analysis.liveness) — keeps frame envs at live-set
         # size, which every encode/clone/canonical is O() of.
@@ -220,6 +236,15 @@ class Context:
             self.spawn_access[name] = (
                 frozenset(reads), runknown, frozenset(writes), wunknown,
             )
+
+    def bound_to(self, module):
+        """True while the tables describe ``module``: built on it, and
+        none of ``main``'s closure owned (:meth:`Module.own`) since."""
+        return self.module is module and module.holds(self.functions)
+
+    def invalidate(self, block):
+        """Drop ``block``'s decoded code after a write to the block."""
+        self.codes.pop(block, None)
 
     def global_region(self, addr):
         """Name of the global variable containing ``addr``, or None."""
@@ -692,9 +717,6 @@ class Machine:
         self.ctx = context
         self.max_steps = max_steps
         self.journal = None
-        # Basic block -> its decoded code, filled as the check enters
-        # blocks (see _run and _decode).
-        self._codes = {}
         # Journal epoch: bumped once per applied action.  Between two
         # epoch bumps the explorer never takes a revert mark, so one
         # OP_STEPS record per (thread, epoch) and one OP_FRAME snapshot
@@ -1102,7 +1124,7 @@ class Machine:
         journal = self.journal
         epoch = self._epoch
         max_steps = self.max_steps
-        codes = self._codes
+        codes = self.ctx.codes
         frames = thread.frames
         owned = thread.owned
         top = len(frames) - 1
@@ -1196,14 +1218,19 @@ class Machine:
         return progressed
 
     def _decode(self, block):
-        """Decode ``block`` into its code for this check (see :meth:`_run`).
+        """Decode ``block`` into its code (see :meth:`_run`).
 
         Decoding only reads the IR; every error an instruction can raise
         is raised by its step, when it executes, so an instruction the
         checker cannot run still checks ``ok`` in a block no execution
-        reaches.  The code lives on this machine and dies with the
-        check: the weakener rewrites orders and deletes fences in place
-        between checks, so decoded code must never outlive one.
+        reaches.  The code lives in the context's decode table
+        (``Context.codes``) as long as the context does, so every check
+        run on one context decodes a block once.  It captures only what
+        the context and the block's instructions fix (orders, indices,
+        operands); the machine reaches a step as its argument.  A write
+        to the block between two checks, such as the weakener's order
+        rewrites, fence deletions and their undos, must drop the
+        block's code (``Context.invalidate``) before the next check.
         """
         ctx = self.ctx
         dies = ctx.dies
@@ -1220,7 +1247,7 @@ class Machine:
             key = id(instr)
             code.append(
                 (decode(self, instr), key, dies.get(key), key not in unused))
-        self._codes[block] = code
+        ctx.codes[block] = code
         return code
 
     def _value(self, frame, operand):

@@ -191,7 +191,9 @@ def apply_proposal(candidate):
 
     Undos must be invoked in reverse application order (LIFO): a fence
     deletion records its index at apply time, which stays valid only
-    while later mutations are unwound first.
+    while later mutations are unwound first.  Between two checks of one
+    :class:`repro.opt.oracle.Oracle`, write through ``Oracle.apply``,
+    which wraps this and keeps the session's checker context current.
     """
     order = candidate.proposal()
     instr = candidate.instr

@@ -32,11 +32,7 @@ worst case is the unchanged blanket-SC module.
 import time
 
 from repro.ir.verifier import verify_module
-from repro.opt.candidates import (
-    DELETE,
-    apply_proposal,
-    enumerate_candidates,
-)
+from repro.opt.candidates import DELETE, enumerate_candidates
 from repro.opt.oracle import Oracle
 from repro.opt.report import OptimizationReport
 from repro.vm.costs import CostModel, estimate_cost
@@ -101,10 +97,10 @@ def optimize_module(module, model="wmm", max_steps=2500,
             report.notes.append(repair_report.summary())
 
     oracle = Oracle(
-        model=model, max_steps=max_steps, max_states=max_states,
+        work, model=model, max_steps=max_steps, max_states=max_states,
         robustness=robustness, analyzer=analyzer,
     )
-    baseline = oracle.establish(work)
+    baseline = oracle.establish()
     report.baseline_outcome = baseline.outcome
     report.cost_before = estimate_cost(work, costs, counts).to_dict()
 
@@ -126,6 +122,7 @@ def optimize_module(module, model="wmm", max_steps=2500,
     mapping = work.own_holders(candidate.instr for candidate in candidates)
     for candidate in candidates:
         candidate.instr = mapping.get(candidate.instr, candidate.instr)
+    oracle.track(candidates)
 
     while True:
         active = [
@@ -139,7 +136,7 @@ def optimize_module(module, model="wmm", max_steps=2500,
         # this order, so the big wins settle in the fewest checks.
         active.sort(key=lambda c: (-c.savings(costs), c.position))
         report.rounds += 1
-        _settle(work, oracle, active)
+        _settle(oracle, active)
 
     _finalize(report, work, candidates, costs, counts, oracle)
     report.wall_seconds = time.perf_counter() - started
@@ -147,18 +144,21 @@ def optimize_module(module, model="wmm", max_steps=2500,
     return work, report
 
 
-def _settle(module, oracle, candidates):
+def _settle(oracle, candidates):
     """Certify as many of ``candidates``' proposals as possible.
 
-    Batched bisection over the one working ``module``.  Returns the
-    number of accepted proposals.  Applies are undone LIFO on
+    Batched bisection over the oracle's one working module.  Returns
+    the number of accepted proposals.  Applies are undone LIFO on
     rejection, so the module always ends in a state whose verdict the
-    oracle has confirmed (or the untouched base).
+    oracle has confirmed (or the untouched base).  Every proposal is a
+    rung below its candidate's committed order and every other
+    candidate stays committed, so each query is pointwise no stronger
+    than the last accepted state.
     """
     if not candidates:
         return 0
-    undos = [apply_proposal(c) for c in candidates]
-    if oracle.matches(module):
+    undos = [oracle.apply(c) for c in candidates]
+    if oracle.matches():
         for candidate in candidates:
             candidate.accept()
         return len(candidates)
@@ -168,8 +168,8 @@ def _settle(module, oracle, candidates):
         candidates[0].reject()
         return 0
     middle = len(candidates) // 2
-    return (_settle(module, oracle, candidates[:middle])
-            + _settle(module, oracle, candidates[middle:]))
+    return (_settle(oracle, candidates[:middle])
+            + _settle(oracle, candidates[middle:]))
 
 
 def _finalize(report, work, candidates, costs, counts, oracle):
@@ -220,7 +220,7 @@ def _finalize(report, work, candidates, costs, counts, oracle):
     report.cost_after = estimate_cost(work, costs, counts).to_dict()
     # The final state's verdict is always already cached: every commit
     # was preceded by a check of exactly that state.
-    report.final_outcome = oracle.verdict(work)
+    report.final_outcome = oracle.verdict()
     _fill_counters(report, oracle)
 
 

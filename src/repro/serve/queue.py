@@ -84,7 +84,7 @@ def _build_config(payload):
 
     from repro.core.config import AtoMigConfig
 
-    knobs = payload.get("config") or {}
+    knobs = _object("config", payload.get("config") or {})
     if not knobs:
         return None
     legal = {field.name for field in fields(AtoMigConfig)}
@@ -101,14 +101,22 @@ def _modules(payload):
     modules = payload.get("modules") or ()
     if not modules:
         raise ValueError("payload has no modules")
+    if not isinstance(modules, list):
+        raise ValueError("modules must be a list of objects")
     for module in modules:
-        if not module.get("source"):
+        if not _object("modules entry", module).get("source"):
             raise ValueError("module without source text")
     return [
         (module.get("name") or f"module{i}", module["source"],
          bool(module.get("is_ir")))
         for i, module in enumerate(modules)
     ]
+
+
+def _object(field, value):
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object, not {value!r}")
+    return value
 
 
 def _known(field, value, legal):
@@ -132,10 +140,49 @@ def _models(payload, kind):
     return [_known("model", payload.get("model", "wmm"), MEMORY_MODELS)]
 
 
+def _positive_int(field, value):
+    if type(value) is not int or value <= 0:  # a bool is not a bound
+        raise ValueError(
+            f"{field} must be a positive integer, not {value!r}")
+
+
+def _boolean(field, value):
+    if type(value) is not bool:
+        raise ValueError(f"{field} must be true or false, not {value!r}")
+
+
+def _arch(field, value):
+    from repro.vm.costs import COST_MODELS
+
+    _known(field, value, sorted(COST_MODELS))
+
+
+def _por(field, value):
+    from repro.mc.explorer import PORS
+
+    _known(field, value, PORS)
+
+
+#: Option name -> the check of its value (``ValueError`` naming it).
+_OPTION_CHECKS = {
+    "max_steps": _positive_int,
+    "max_states": _positive_int,
+    "robustness": _boolean,
+    "require_marks": _boolean,
+    "repair_seed": _boolean,
+    "verify": _boolean,
+    "emit_ir": _boolean,
+    "arch": _arch,
+    "por": _por,
+}
+
+
 def _pick(options, allowed):
     unknown = sorted(set(options) - set(allowed))
     if unknown:
         raise ValueError(f"unknown options: {', '.join(unknown)}")
+    for field, value in options.items():
+        _OPTION_CHECKS[field](field, value)
     return dict(options)
 
 
@@ -148,9 +195,8 @@ def job_tasks(kind, payload):
     Level and config reach the specs as given: their ``load()``
     (:func:`repro.api.load_module`) decides what the pair means, as it
     does for the CLI.  The daemon calls this at submit, so a malformed
-    payload is an HTTP 400, never a ``failed`` job.  Of the option
-    *values*, ``por`` is checked here too; the rest (``arch``...) are
-    checked when the job runs.
+    payload, including a bad option value (``_OPTION_CHECKS``), is an
+    HTTP 400, never a ``failed`` job.
     """
     from repro.core.config import PortingLevel
 
@@ -159,7 +205,7 @@ def job_tasks(kind, payload):
     config = _build_config(payload)
     level = _known("level", payload.get("level") or "atomig",
                    [member.value for member in PortingLevel])
-    options = payload.get("options") or {}
+    options = _object("options", payload.get("options") or {})
     if kind == "port":
         from repro.core.parallel import PortTask
 
@@ -168,18 +214,15 @@ def job_tasks(kind, payload):
             raise ValueError("port jobs take Mini-C sources, not IR text")
         return [
             PortTask(name=name, source=source, level=level, config=config,
-                     emit_ir=bool(options.get("emit_ir")))
+                     emit_ir=options.get("emit_ir", False))
             for name, source, _is_ir in modules
         ]
     models = _models(payload, kind)
     if kind == "check":
-        from repro.mc.explorer import PORS
         from repro.mc.parallel import CheckTask
 
         options = _pick(options, ("max_steps", "max_states", "por",
                                   "robustness"))
-        if "por" in options:
-            _known("por", options["por"], PORS)
         options.setdefault("robustness", True)
         return [
             CheckTask(name=name, source=source, model=model, level=level,

@@ -7,10 +7,12 @@ from repro.api import (
     compile_source,
     port_module,
 )
+from repro.bench.corpus import BENCHMARKS
 from repro.bench.programs import ck_spinlock_cas
 from repro.core.report import count_barriers
 from repro.ir import instructions as ins
 from repro.ir.instructions import MemoryOrder
+from repro.ir.module import BasicBlock, Function
 
 
 def _port(module, prune):
@@ -141,3 +143,38 @@ int main() {
 def test_prune_flag_defaults_off():
     assert AtoMigConfig().prune_protected is False
     assert AtoMigConfig.for_level(PortingLevel.ATOMIG).prune_protected is False
+
+
+def _reachable(root):
+    """Every object ``root`` holds, through containers and attributes."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, float,
+                                               type)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+
+
+def test_forking_a_pruned_port_copies_no_ir():
+    """The decision's race report stays out of the port: its findings
+    reference instructions, which every fork would deep-copy."""
+    module = compile_source(BENCHMARKS["lf_hash"].mc_source(), "lf_hash")
+    pruned, _report = _port(module, prune=True)
+    assert not any(isinstance(obj, (ins.Instruction, BasicBlock, Function))
+                   for obj in _reachable(pruned.metadata))
+    fork = pruned.fork()
+    for name, function in pruned.functions.items():
+        assert fork.functions[name] is function
+    for name, gvar in pruned.globals.items():
+        assert fork.globals[name] is gvar
+    assert not any(isinstance(obj, (ins.Instruction, BasicBlock, Function))
+                   for obj in _reachable(fork.metadata))

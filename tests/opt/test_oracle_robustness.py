@@ -1,12 +1,11 @@
-"""Oracle hardening tests: cache keys and the robustness fast path."""
-
-import pytest
+"""Oracle hardening tests: the robustness fast path and its counters."""
 
 from repro.api import compile_source, port_module
 from repro.core.config import PortingLevel
-from repro.ir.instructions import MemoryOrder, Store
+from repro.ir.instructions import MemoryOrder
 from repro.ir.printer import print_module
-from repro.opt import Oracle, optimize_module
+from repro.opt import Oracle, enumerate_candidates, optimize_module
+from repro.vm.costs import CostModel
 
 TAS_SPINLOCK = """
 int lock = 0;
@@ -35,100 +34,63 @@ int main() {
 def _ported(source=TAS_SPINLOCK, name="tas"):
     module = compile_source(source, name)
     ported, _report = port_module(module, PortingLevel.ATOMIG)
-    return ported
+    # A disjoint copy: the session below writes the module in place.
+    return ported.clone()
 
 
-def _release_store_candidate(ported):
-    """A genuinely different candidate that stays robust.
+def _session(robustness=True):
+    """An established oracle over a fresh port, tracking its candidates."""
+    ported = _ported()
+    oracle = Oracle(ported, model="wmm", robustness=robustness)
+    oracle.establish()
+    candidates = enumerate_candidates(ported, CostModel())
+    oracle.track(candidates)
+    return oracle, candidates
+
+
+def _release_stores(oracle, candidates):
+    """A genuinely different module state that stays robust.
 
     Demoting SC stores to release is exactly the optimizer's first
     ladder step; release stores still publish the lock word, so the
-    safe-lock pruning keeps the module robust.
+    safe-lock pruning keeps the module robust.  The stores are
+    rewritten in place, through the session.
     """
-    candidate = ported.clone()
-    for instr in candidate.instructions():
-        if isinstance(instr, Store) and instr.order is MemoryOrder.SEQ_CST:
-            instr.order = MemoryOrder.RELEASE
-    return candidate
-
-
-# -- cache-key hardening ---------------------------------------------------
-
-
-def test_digest_keys_on_every_configuration_parameter():
-    """Two oracles differing in any verdict-relevant knob must never
-    share verdicts."""
-    text = print_module(_ported())
-    base = dict(model="wmm", max_steps=2500, max_states=400_000)
-    reference = Oracle(**base)._digest(text)
-    variants = [
-        {"model": "tso"},
-        {"max_steps": 1000},
-        {"max_states": 50_000},
-    ]
-    for override in variants:
-        other = Oracle(**{**base, **override})._digest(text)
-        assert other != reference, override
-
-
-def test_digest_is_stable_for_identical_configuration():
-    text = print_module(_ported())
-    a = Oracle(model="wmm")._digest(text)
-    b = Oracle(model="wmm")._digest(text)
-    assert a == b
-
-
-def test_digest_differs_across_module_texts():
-    oracle = Oracle()
-    ported = _ported()
-    text = print_module(ported)
-    assert oracle._digest(text) != oracle._digest(text + "\n")
-
-
-def test_verdicts_do_not_leak_across_models():
-    ported = _ported()
-    wmm = Oracle(model="wmm", robustness=False)
-    tso = Oracle(model="tso", robustness=False)
-    wmm.establish(ported)
-    tso.establish(ported)
-    key_wmm = wmm._digest(print_module(ported))
-    key_tso = tso._digest(print_module(ported))
-    assert key_wmm != key_tso
+    stores = [c for c in candidates if c.kind == "store"]
+    assert stores
+    for candidate in stores:
+        assert candidate.proposal() is MemoryOrder.RELEASE
+        oracle.apply(candidate)
 
 
 # -- robustness fast path --------------------------------------------------
 
 
 def test_fast_path_answers_without_exploration():
-    ported = _ported()
-    oracle = Oracle(model="wmm", robustness=True)
-    oracle.establish(ported)
+    oracle, candidates = _session()
     assert oracle.baseline_robust
     checks_before = oracle.checks_run
-    candidate = _release_store_candidate(ported)
-    assert oracle.verdict(candidate) == oracle.baseline_outcome
+    _release_stores(oracle, candidates)
+    assert oracle.verdict() == oracle.baseline_outcome
     assert oracle.robustness_hits == 1
     assert oracle.checks_run == checks_before  # no exploration happened
     # The answer is cached: asking again is a cache hit, not a re-proof.
     robustness_checks = oracle.robustness_checks
-    oracle.verdict(candidate)
+    oracle.verdict()
     assert oracle.robustness_checks == robustness_checks
     assert oracle.cache_hits >= 1
 
 
 def test_fast_path_disabled_when_requested():
-    ported = _ported()
-    oracle = Oracle(model="wmm", robustness=False)
-    oracle.establish(ported)
+    oracle, _candidates = _session(robustness=False)
     assert not oracle.baseline_robust
     assert oracle.robustness_checks == 0
 
 
 def test_counters_report_states_saved():
-    ported = _ported()
-    oracle = Oracle(model="wmm", robustness=True)
-    oracle.establish(ported)
-    oracle.verdict(_release_store_candidate(ported))
+    oracle, candidates = _session()
+    _release_stores(oracle, candidates)
+    oracle.verdict()
     counters = oracle.counters()
     assert counters["robustness_hits"] == 1
     assert counters["robustness_states_saved"] == oracle.baseline_states

@@ -158,18 +158,18 @@ def test_report_attached_to_module_metadata():
 
 def test_oracle_caches_repeat_verdicts():
     ported = _ported(SPINLOCK, "spinlock")
-    oracle = Oracle()
-    oracle.establish(ported)
+    oracle = Oracle(ported)
+    oracle.establish()
     checks = oracle.checks_run
-    assert oracle.matches(ported)  # same digest as the baseline
+    assert oracle.matches()  # the baseline's own state
     assert oracle.checks_run == checks
     assert oracle.cache_hits == 1
 
 
 def test_oracle_budget_derived_from_baseline():
     ported = _ported(SPINLOCK, "spinlock")
-    oracle = Oracle(max_states=400_000)
-    result = oracle.establish(ported)
+    oracle = Oracle(ported, max_states=400_000)
+    result = oracle.establish()
     assert oracle.budget >= result.states_explored
     assert oracle.budget <= 400_000
 

@@ -144,6 +144,15 @@ def test_bad_requests_are_400(client):
         ("port", "priority", {"priority": 1.7}),
         ("port", "priority", {"priority": True}),
         ("port", "priority", {"priority": "5"}),
+        ("optimize", "max_states", {"options": {"max_states": "many"}}),
+        ("optimize", "arch", {"options": {"arch": "x86"}}),
+        ("check", "max_steps", {"options": {"max_steps": -5}}),
+        ("check", "robustness", {"options": {"robustness": "no"}}),
+        ("repair", "max_states", {"options": {"max_states": True}}),
+        ("check", "options", {"options": [1]}),
+        ("port", "config", {"config": [1]}),
+        ("port", "modules", {"modules": ["x"]}),
+        ("port", "modules", {"modules": {"source": "int x;"}}),
     ):
         status, payload = client.request("POST", "/jobs", body={
             "kind": kind, "modules": [module], **bad,

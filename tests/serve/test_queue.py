@@ -238,6 +238,42 @@ def test_non_integer_priority_is_rejected_before_storing(idle_daemon,
     assert idle_daemon.list_jobs() == []
 
 
+def test_bad_option_values_are_rejected_before_storing(idle_daemon,
+                                                       port_payload):
+    for kind, field, value in (
+        ("optimize", "max_states", "many"),
+        ("optimize", "max_steps", 0),
+        ("optimize", "arch", "x86"),
+        ("optimize", "arch", None),
+        ("optimize", "repair_seed", 1),
+        ("optimize", "require_marks", "yes"),
+        ("check", "max_steps", -5),
+        ("check", "max_states", 2.5),
+        ("check", "robustness", "no"),
+        ("repair", "max_states", True),
+        ("repair", "verify", "false"),
+        ("port", "emit_ir", 1),
+    ):
+        payload = port_payload(options={field: value})
+        with pytest.raises(ValueError, match=field):
+            idle_daemon.submit(kind, payload)
+    assert idle_daemon.store.list_jobs() == []
+    assert idle_daemon.list_jobs() == []
+
+
+def test_valid_option_values_keep_their_dedup_key(idle_daemon,
+                                                  port_payload):
+    """Checking values accepts every valid payload as it is."""
+    options = {"max_steps": 400, "max_states": 5000, "robustness": True,
+               "require_marks": False, "repair_seed": True,
+               "arch": "power"}
+    payload = port_payload(options=options)
+    key = job_dedup_key("optimize", port_payload(options=dict(options)))
+    record = idle_daemon.submit("optimize", payload)
+    assert record["dedup_key"] == key
+    assert payload["options"] == options
+
+
 def test_priority_orders_the_queue(idle_daemon, port_payload):
     low = idle_daemon.submit("port", port_payload(), priority=0)
     high = idle_daemon.submit("port", port_payload(level="naive"),
