@@ -187,9 +187,8 @@ def table8(benchmarks=TABLE8_BENCHMARKS, max_steps=2500,
     pointer-parameter detection gap.  ``jobs`` fans the WMM checks
     across worker processes.
     """
-    from repro.core.config import AtoMigConfig
+    from repro.core.config import ALIAS_MODES, AtoMigConfig
 
-    modes = ("type_based", "points_to")
     tasks = [
         CheckTask(
             name=f"{name}:{mode}", source=BENCHMARKS[name].mc_source(),
@@ -198,7 +197,7 @@ def table8(benchmarks=TABLE8_BENCHMARKS, max_steps=2500,
             max_steps=max_steps, max_states=max_states,
         )
         for name in benchmarks
-        for mode in modes
+        for mode in ALIAS_MODES
     ]
     results = iter(run_batch(tasks, jobs=jobs))
     rows = []
@@ -206,7 +205,7 @@ def table8(benchmarks=TABLE8_BENCHMARKS, max_steps=2500,
         module = compile_source(BENCHMARKS[name].mc_source(), name)
         impl = {}
         reports = {}
-        for mode in modes:
+        for mode in ALIAS_MODES:
             ported, report = port_module(
                 module, PortingLevel.ATOMIG,
                 config=AtoMigConfig(alias_mode=mode),

@@ -42,7 +42,11 @@ from repro.api import (
     port_module,
     run_module,
 )
-from repro.core.config import AtoMigConfig, PortingLevel
+from repro.core.config import ALIAS_MODES, AtoMigConfig, PortingLevel
+from repro.mc.explorer import PORS
+from repro.mc.models import MEMORY_MODELS, WEAK_MODELS
+from repro.serve.queue import JOB_KINDS
+from repro.vm.costs import COST_MODELS
 
 _LEVELS = {level.value: level for level in PortingLevel}
 
@@ -118,15 +122,15 @@ def _add_config_args(parser):
                         help="after porting, statically repair any "
                              "remaining non-robustness with a min-cost "
                              "set of fences / order strengthenings")
-    parser.add_argument("--repair-model", choices=["tso", "wmm"],
+    parser.add_argument("--repair-model", choices=WEAK_MODELS,
                         default="wmm",
                         help="memory model the --repair pass targets "
                              "(default: wmm)")
-    parser.add_argument("--repair-arch", choices=["armv8", "power"],
+    parser.add_argument("--repair-arch", choices=COST_MODELS,
                         default="armv8",
                         help="cost model weighting the --repair pass "
                              "(default: armv8)")
-    parser.add_argument("--alias-mode", choices=("type_based", "points_to"),
+    parser.add_argument("--alias-mode", choices=ALIAS_MODES,
                         default="type_based",
                         help="location-key precision for alias exploration: "
                              "the paper's type-based scheme, or Andersen "
@@ -538,7 +542,7 @@ def cmd_litmus(args):
                   file=sys.stderr)
             return 2
         verdicts = []
-        for model in ("sc", "tso", "wmm"):
+        for model in MEMORY_MODELS:
             result = run_litmus(name, model)
             expected = expected_verdict(name, model)
             mark = "ok " if result.ok else "bug"
@@ -824,7 +828,7 @@ def build_parser():
     optimize.add_argument("file")
     _add_level_arg(optimize)
     _add_config_args(optimize)
-    optimize.add_argument("--model", choices=["sc", "tso", "wmm"],
+    optimize.add_argument("--model", choices=MEMORY_MODELS,
                           default="wmm",
                           help="memory model the oracle checks under "
                                "(default: wmm)")
@@ -851,7 +855,7 @@ def build_parser():
     check = sub.add_parser("check", help="model-check a Mini-C file")
     check.add_argument("file")
     check.add_argument("--models", nargs="+", default=["wmm"],
-                       choices=["sc", "tso", "wmm"])
+                       choices=MEMORY_MODELS)
     check.add_argument("--max-steps", type=int, default=2500)
     check.add_argument("--trace", type=int, default=0, metavar="N",
                        help="print the last N trace steps on violation "
@@ -861,8 +865,7 @@ def build_parser():
                             "processes")
     check.add_argument("--stats", action="store_true",
                        help="print exploration statistics per model")
-    check.add_argument("--por", default="sleep",
-                       choices=["none", "sleep", "dpor"],
+    check.add_argument("--por", default="sleep", choices=PORS,
                        help="partial-order-reduction backend: 'sleep' "
                             "(Godefroid sleep sets, the default), "
                             "'dpor' (source-DPOR with happens-before "
@@ -901,7 +904,7 @@ def build_parser():
              "verdicts per access",
     )
     aliases.add_argument("file")
-    aliases.add_argument("--alias-mode", choices=("type_based", "points_to"),
+    aliases.add_argument("--alias-mode", choices=ALIAS_MODES,
                          default="points_to",
                          help="key provider to display (default: points_to)")
     aliases.add_argument("--all", action="store_true",
@@ -936,7 +939,7 @@ def build_parser():
     )
     robustness.add_argument("file", nargs="?",
                             help="Mini-C or .ir file to analyze")
-    robustness.add_argument("--model", choices=["tso", "wmm"],
+    robustness.add_argument("--model", choices=WEAK_MODELS,
                             default="wmm",
                             help="memory model to analyze against "
                                  "(default: wmm)")
@@ -961,10 +964,10 @@ def build_parser():
     )
     repair.add_argument("file", nargs="?",
                         help="Mini-C or .ir file to repair")
-    repair.add_argument("--model", choices=["tso", "wmm"], default="wmm",
+    repair.add_argument("--model", choices=WEAK_MODELS, default="wmm",
                         help="memory model to repair against "
                              "(default: wmm)")
-    repair.add_argument("--arch", choices=["armv8", "power"],
+    repair.add_argument("--arch", choices=COST_MODELS,
                         default="armv8",
                         help="cost model weighting the repair "
                              "(default: armv8)")
@@ -1046,12 +1049,11 @@ def build_parser():
     )
     submit.add_argument("file", help="Mini-C or .ir file to submit")
     submit.add_argument("--kind", default="port",
-                        choices=["port", "check", "optimize", "repair"],
+                        choices=JOB_KINDS,
                         help="job kind (default: port)")
     submit.add_argument("--level", default=None, choices=sorted(_LEVELS),
                         help="porting level (default: atomig)")
-    submit.add_argument("--model", default=None,
-                        choices=["sc", "tso", "wmm"],
+    submit.add_argument("--model", default=None, choices=MEMORY_MODELS,
                         help="memory model for check/optimize/repair jobs")
     submit.add_argument("--name", default=None,
                         help="module name (default: the file path)")

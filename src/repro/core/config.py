@@ -9,6 +9,10 @@ import enum
 from dataclasses import dataclass, replace
 
 
+#: The location-key precisions of alias exploration (``alias_mode``).
+ALIAS_MODES = ("type_based", "points_to")
+
+
 class PortingLevel(enum.Enum):
     """Which porting strategy to apply to a module."""
 
@@ -37,8 +41,6 @@ class AtoMigConfig:
     exist so the ablation benchmarks can switch parts off.
     """
 
-    #: Handle explicit annotations: C11 atomics, ``volatile``, inline asm.
-    analyze_annotations: bool = True
     #: Detect spinloops and mark spin controls.
     detect_spinloops: bool = True
     #: Detect optimistic loops and add explicit barriers.
@@ -92,11 +94,6 @@ class AtoMigConfig:
     #: plain pointer arguments — and prunes sticky buddies whose every
     #: aliased object is provably thread-local.
     alias_mode: str = "type_based"
-    #: Re-verify only the functions the port actually touched.  A clone
-    #: of a verified module is verified by construction; only functions
-    #: with changed memory orders, inserted fences, or inlined bodies
-    #: need re-checking.  Disable to force a full post-port verify.
-    incremental_verify: bool = True
 
     @classmethod
     def for_level(cls, level, config=None):

@@ -10,11 +10,11 @@ and changed.
 Every stage is timed into ``report.stats`` (:class:`PipelineStats`);
 ``report.porting_seconds`` covers the transformation proper, while
 post-port verification and barrier recounting live in their own stats
-buckets.  With ``AtoMigConfig.incremental_verify`` (the default) only
-the functions a port actually touched are re-verified: a fork of a
-verified module is verified by construction, so an untouched function
-cannot have become malformed (one owned only to re-point a call is a
-faithful copy).
+buckets.  Only the functions a port actually touched are re-verified
+(naive and Lasagne, which do not track what they touch, verify every
+function): a fork of a verified module is verified by construction, so
+an untouched function cannot have become malformed (one owned only to
+re-point a call is a faithful copy).
 """
 
 import time
@@ -63,6 +63,7 @@ def run_porting(module, level=PortingLevel.ATOMIG, config=None,
     config = AtoMigConfig.for_level(level, config)
     report = PortingReport(module_name=module.name, level=level.value)
     stats = report.stats
+    stats.module = module.name
     with stats.stage("count_barriers"):
         barriers = {name: function_barriers(function)
                     for name, function in module.functions.items()}
@@ -114,7 +115,7 @@ def run_porting(module, level=PortingLevel.ATOMIG, config=None,
             )
 
     with stats.stage("verify"):
-        if touched is None or not config.incremental_verify:
+        if touched is None:
             verify_module(ported)
             stats.count("verified_functions", len(ported.functions))
         else:
@@ -189,16 +190,15 @@ def _run_atomig(ported, level, config, report):
     #: (stage, result) of every detector, applied after owning.
     findings = []
 
-    if config.analyze_annotations:
-        with stats.stage("annotations"):
-            annotations = find_annotations(
-                ported, config.volatile_blacklist, cache=cache
-            )
-        findings.append(("annotations", annotations))
-        seed_keys |= annotations.location_keys
-        marked |= annotations.marked_instructions
-        vetoed |= annotations.atomic_instructions()
-        report.annotation_conversions = annotations.conversions
+    with stats.stage("annotations"):
+        annotations = find_annotations(
+            ported, config.volatile_blacklist, cache=cache
+        )
+    findings.append(("annotations", annotations))
+    seed_keys |= annotations.location_keys
+    marked |= annotations.marked_instructions
+    vetoed |= annotations.atomic_instructions()
+    report.annotation_conversions = annotations.conversions
 
     spinloops = None
     if config.detect_spinloops:

@@ -53,8 +53,9 @@ def stage_observer(callback):
 
     While the context is active, every :meth:`PipelineStats.stage`
     boundary on this thread calls ``callback`` with an event dict —
-    ``{"type": "stage_start", "stage": name}`` on entry and
-    ``{"type": "stage_end", "stage": name, "seconds": s}`` on exit —
+    ``{"type": "stage_start", "stage": name, "module": m}`` on entry
+    and ``{"type": "stage_end", "stage": name, "seconds": s,
+    "module": m}`` on exit, ``m`` the name of the module being ported —
     plus whatever :func:`notify_event` emits (e.g. the pipeline's
     final ``port_done``).  This is how ``GET /jobs/<id>/events``
     streams per-stage NDJSON without the pipeline knowing about HTTP.
@@ -101,18 +102,22 @@ class PipelineStats:
     total_seconds: float = 0.0
     #: number of ports merged into this record (1 for a single port).
     ports: int = 1
+    #: name of the module being ported; tags the stage events (and is
+    #: left out of :meth:`to_dict`, so reports do not change).
+    module: str = None
 
     @contextmanager
     def stage(self, name):
         """Time a stage; additive when the same stage runs twice."""
-        notify_event("stage_start", stage=name)
+        notify_event("stage_start", stage=name, module=self.module)
         started = time.perf_counter()
         try:
             yield
         finally:
             seconds = time.perf_counter() - started
             self.add(name, seconds)
-            notify_event("stage_end", stage=name, seconds=seconds)
+            notify_event("stage_end", stage=name, seconds=seconds,
+                         module=self.module)
 
     def add(self, name, seconds):
         self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.mc.encode import state_digest, state_digest_fresh
 from repro.mc.machine import Context, FINISHED, LIMIT, Machine, is_pending
-from repro.mc.models import get_model
+from repro.mc.models import WEAK_MODELS, get_model
 from repro.mc.undo import revert
 
 #: Partial-order-reduction backends: Godefroid sleep sets (the
@@ -299,7 +299,7 @@ def check_module(module, model="wmm", max_steps=2500,
     """
     if por not in PORS:
         raise ValueError(f"unknown por backend {por!r} (use one of {PORS})")
-    if robustness and model in ("tso", "wmm"):
+    if robustness and model in WEAK_MODELS:
         from repro.analysis.robustness import analyze_robustness
 
         robust = analyze_robustness(module, model=model, max_witnesses=1)

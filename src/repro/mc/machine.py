@@ -80,7 +80,9 @@ class Context:
     Every table except the decode table (``codes``) is keyed by
     instruction identity and reads pointers and operands, never memory
     orders, and a fence has no operands and no result: rewriting an
-    order, deleting a fence or re-inserting it leaves them all valid.
+    order, deleting a fence or re-inserting it leaves them all valid,
+    provided the context was built with the fence in place (else
+    ``unused`` misses it).
     The decoded code of a block captures its instructions' orders and
     indices, so whoever writes the module between two checks drops the
     written block's code (:meth:`invalidate`).  Owning a function of

@@ -115,6 +115,10 @@ MEMORY_MODELS = {
     "wmm": WMMModel,
 }
 
+#: The models a module can fail to be robust under: what robustness
+#: analysis and fence repair target.
+WEAK_MODELS = tuple(name for name in MEMORY_MODELS if name != "sc")
+
 
 def get_model(name):
     try:

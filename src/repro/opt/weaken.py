@@ -96,6 +96,12 @@ def optimize_module(module, model="wmm", max_steps=2500,
         if repair_report.rounds:
             report.notes.append(repair_report.summary())
 
+    candidates = None
+    if clone:
+        # The fork shares every function with ``module``: own the
+        # candidates' functions before the oracle builds its context,
+        # or its first candidate check would build a second one.
+        candidates = _own_candidates(work, costs, counts, require_marks)
     oracle = Oracle(
         work, model=model, max_steps=max_steps, max_states=max_states,
         robustness=robustness, analyzer=analyzer,
@@ -115,13 +121,9 @@ def optimize_module(module, model="wmm", max_steps=2500,
         _fill_counters(report, oracle)
         return work, report
 
-    candidates = enumerate_candidates(
-        work, costs, counts=counts, require_marks=require_marks
-    )
+    if candidates is None:
+        candidates = _own_candidates(work, costs, counts, require_marks)
     report.candidates = len(candidates)
-    mapping = work.own_holders(candidate.instr for candidate in candidates)
-    for candidate in candidates:
-        candidate.instr = mapping.get(candidate.instr, candidate.instr)
     oracle.track(candidates)
 
     while True:
@@ -142,6 +144,17 @@ def optimize_module(module, model="wmm", max_steps=2500,
     report.wall_seconds = time.perf_counter() - started
     work.metadata["optimization_report"] = report.to_dict()
     return work, report
+
+
+def _own_candidates(work, costs, counts, require_marks):
+    """``work``'s candidates, their functions owned and re-pointed."""
+    candidates = enumerate_candidates(
+        work, costs, counts=counts, require_marks=require_marks
+    )
+    mapping = work.own_holders(candidate.instr for candidate in candidates)
+    for candidate in candidates:
+        candidate.instr = mapping.get(candidate.instr, candidate.instr)
+    return candidates
 
 
 def _settle(oracle, candidates):

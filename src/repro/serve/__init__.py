@@ -8,10 +8,12 @@ persistent service:
   record per job under ``ATOMIG_JOB_DIR``, atomic writes) whose
   ``queued``/``running`` jobs survive a daemon restart;
 - :mod:`repro.serve.queue` — a priority job queue whose workers run
-  each job as the task specs the batch harnesses use, fanned out by
-  :func:`repro.core.workers.run_batch` over its persistent pools, with
-  content-addressed dedup on the blake2b modcache key plus the task's
-  config fingerprint;
+  each job as the task specs the batch harnesses use, through
+  :func:`repro.core.workers.run_batch` (fanned out over its persistent
+  pools with ``fanout > 1``); one reader turns a payload into those
+  specs, checking every value it reads, and dedup is content-addressed
+  on the specs' fingerprint (sources through the blake2b modcache
+  key);
 - :mod:`repro.serve.http` — a stdlib-only REST-ish HTTP API
   (``POST /jobs``, ``GET /jobs/<id>``, ``GET /jobs/<id>/result``,
   streaming ``GET /jobs/<id>/events``, ``DELETE /jobs/<id>``,

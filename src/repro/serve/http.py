@@ -140,7 +140,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             modules = [{
                 "name": body.get("name") or "module",
                 "source": body["source"],
-                "is_ir": bool(body.get("is_ir")),
+                "is_ir": body.get("is_ir", False),
             }]
         payload = {"modules": modules or []}
         for key in ("level", "model", "models", "options", "config"):

@@ -1,28 +1,31 @@
 """Priority job queue + daemon: execute stored jobs on worker threads.
 
 A job is a ``(kind, payload)`` pair persisted by
-:class:`repro.serve.store.JobStore`.  :func:`job_tasks` maps each kind
-onto the task specs the batch harnesses use — ``port`` onto
+:class:`repro.serve.store.JobStore`.  :func:`job_tasks` is the one
+reader of a payload: a table maps each kind onto the task spec the
+batch harnesses use — ``port`` onto
 :class:`repro.core.parallel.PortTask`, ``check`` onto
 :class:`repro.mc.parallel.CheckTask`, ``optimize`` and ``repair`` onto
-:mod:`repro.opt.parallel`'s ``OptimizeTask`` / ``RepairTask`` — so one
-daemon process serves every report type the one-shot CLI can produce.
-Multi-task ("tree") jobs of every kind fan out through
-:func:`repro.core.workers.run_batch` when the daemon is configured
-with ``fanout > 1``.
+:mod:`repro.opt.parallel`'s ``OptimizeTask`` / ``RepairTask`` — and
+every value the payload gives (options, module names and ``is_ir``,
+config knobs) is checked against what the spec or ``AtoMigConfig``
+declares, so one daemon process serves every report type the one-shot
+CLI can produce and rejects a malformed payload at submit.
 
-Dedup is content-addressed: :func:`job_dedup_key` hashes the blake2b
-modcache digest of every module's source together with a canonical
-JSON fingerprint of everything else in the payload (kind, level,
-model, options, config).  Re-submitting an unchanged source+config is
-answered instantly from the stored result of the earlier job — zero
-porting seconds, ``cache_hit: true`` — never a re-port.
+Dedup is content-addressed: :func:`job_dedup_key` fingerprints the
+specs ``submit`` built (each spec's class and fields, its source
+through the blake2b modcache digest), so payloads that name the same
+work — with or without explicit defaults — share one key.
+Re-submitting it is answered instantly from the stored result of the
+earlier job — zero porting seconds, ``cache_hit: true`` — never a
+re-port.
 
-Progress streams off the pipeline's stage boundaries: specs that run
-in the worker thread run under
-:func:`repro.core.profile.stage_observer`, so every
-``stage_start``/``stage_end`` of :func:`repro.core.pipeline.run_porting`
-becomes an NDJSON event on ``GET /jobs/<id>/events``.
+Every job runs through :func:`repro.core.workers.run_batch` under one
+:func:`repro.core.profile.stage_observer`: multi-task ("tree") jobs fan
+out over the process pools when the daemon has ``fanout > 1``, and
+otherwise every ``stage_start``/``stage_end`` of
+:func:`repro.core.pipeline.run_porting`, tagged with the module being
+ported, becomes an NDJSON event on ``GET /jobs/<id>/events``.
 """
 
 import hashlib
@@ -32,219 +35,171 @@ import json
 import threading
 import time
 import traceback
+from dataclasses import asdict, fields
 
+from repro import modcache
+from repro.core.config import ALIAS_MODES, AtoMigConfig, PortingLevel
+from repro.core.parallel import PortTask
+from repro.core.profile import stage_observer
+from repro.core.workers import run_batch
+from repro.mc.explorer import PORS
+from repro.mc.models import MEMORY_MODELS, WEAK_MODELS
+from repro.mc.parallel import CheckTask
+from repro.opt.parallel import OptimizeTask, RepairTask
 from repro.serve.store import TERMINAL_STATES, JobStore, _jsonable
-
-#: Supported job kinds (HTTP 400 for anything else).
-JOB_KINDS = ("port", "check", "optimize", "repair")
+from repro.vm.costs import COST_MODELS
 
 #: Events kept per job before truncation (streaming clients see all of
 #: them live; the record keeps a bounded replay buffer).
 MAX_EVENTS = 512
 
 
-# -- dedup -------------------------------------------------------------------
+# -- payloads ----------------------------------------------------------------
 
 
-def job_dedup_key(kind, payload):
-    """Content-addressed key for one job: sources + config fingerprint.
+#: Job kind -> (task spec, the options it accepts, serve's defaults for
+#: them).  A ``check`` job runs one spec per module and model; every
+#: other kind one per module.
+_KINDS = {
+    "port": (PortTask, ("emit_ir",), {}),
+    "check": (CheckTask, ("max_steps", "max_states", "por", "robustness"),
+              {"robustness": True}),
+    "optimize": (OptimizeTask, ("max_steps", "max_states", "require_marks",
+                                "robustness", "repair_seed", "arch"), {}),
+    "repair": (RepairTask, ("arch", "verify", "max_steps", "max_states"),
+               {}),
+}
 
-    Module sources enter through :func:`repro.modcache.source_digest`
-    (which already covers the cache format version and the running
-    Python), everything else through canonical JSON, so two submissions
-    collide exactly when the service would do identical work.
-    """
-    from repro import modcache
+#: Supported job kinds (HTTP 400 for anything else).
+JOB_KINDS = tuple(_KINDS)
 
-    fingerprint = {
-        key: payload[key]
-        for key in sorted(payload)
-        if key != "modules"
-    }
-    hasher = hashlib.blake2b(digest_size=20)
-    hasher.update(f"serve1|{kind}|".encode())
-    hasher.update(
-        json.dumps(fingerprint, sort_keys=True, default=str).encode()
-    )
-    for module in payload.get("modules", ()):
-        digest = modcache.source_digest(
-            module.get("source", ""), module.get("name", "module")
-        )
-        tag = "ir" if module.get("is_ir") else "c"
-        hasher.update(f"|{tag}:{digest}".encode())
-    return hasher.hexdigest()
+#: The legal strings of every vocabulary field a payload can give.
+_VOCABULARIES = {
+    "level": [level.value for level in PortingLevel],
+    "model": MEMORY_MODELS, "arch": COST_MODELS, "repair_arch": COST_MODELS,
+    "por": PORS, "repair_model": WEAK_MODELS, "alias_mode": ALIAS_MODES,
+}
 
-
-# -- payload execution -------------------------------------------------------
-
-
-def _build_config(payload):
-    """AtoMigConfig from the payload's ``config`` dict (None if empty)."""
-    from dataclasses import fields
-
-    from repro.core.config import AtoMigConfig
-
-    knobs = _object("config", payload.get("config") or {})
-    if not knobs:
-        return None
-    legal = {field.name for field in fields(AtoMigConfig)}
-    unknown = sorted(set(knobs) - legal)
-    if unknown:
-        raise ValueError(f"unknown config knobs: {', '.join(unknown)}")
-    config = AtoMigConfig(**knobs)
-    # JSON turns the tuple default into a list; normalize back.
-    config.volatile_blacklist = tuple(config.volatile_blacklist or ())
-    return config
-
-
-def _modules(payload):
-    modules = payload.get("modules") or ()
-    if not modules:
-        raise ValueError("payload has no modules")
-    if not isinstance(modules, list):
-        raise ValueError("modules must be a list of objects")
-    for module in modules:
-        if not _object("modules entry", module).get("source"):
-            raise ValueError("module without source text")
-    return [
-        (module.get("name") or f"module{i}", module["source"],
-         bool(module.get("is_ir")))
-        for i, module in enumerate(modules)
-    ]
-
-
-def _object(field, value):
-    if not isinstance(value, dict):
-        raise ValueError(f"{field} must be a JSON object, not {value!r}")
-    return value
-
-
-def _known(field, value, legal):
-    if not isinstance(value, str) or value not in legal:
-        raise ValueError(
-            f"unknown {field} {value!r} (expected one of "
-            f"{', '.join(legal)})"
-        )
-    return value
-
-
-def _models(payload, kind):
-    """A check job's ``models`` list, else the one ``model`` (wmm)."""
-    from repro.mc.models import MEMORY_MODELS
-
-    if kind == "check" and payload.get("models"):
-        if not isinstance(payload["models"], list):
-            raise ValueError("models must be a list of model names")
-        return [_known("models entry", model, MEMORY_MODELS)
-                for model in payload["models"]]
-    return [_known("model", payload.get("model", "wmm"), MEMORY_MODELS)]
-
-
-def _positive_int(field, value):
-    if type(value) is not int or value <= 0:  # a bool is not a bound
-        raise ValueError(
-            f"{field} must be a positive integer, not {value!r}")
-
-
-def _boolean(field, value):
-    if type(value) is not bool:
-        raise ValueError(f"{field} must be true or false, not {value!r}")
-
-
-def _arch(field, value):
-    from repro.vm.costs import COST_MODELS
-
-    _known(field, value, sorted(COST_MODELS))
-
-
-def _por(field, value):
-    from repro.mc.explorer import PORS
-
-    _known(field, value, PORS)
-
-
-#: Option name -> the check of its value (``ValueError`` naming it).
-_OPTION_CHECKS = {
-    "max_steps": _positive_int,
-    "max_states": _positive_int,
-    "robustness": _boolean,
-    "require_marks": _boolean,
-    "repair_seed": _boolean,
-    "verify": _boolean,
-    "emit_ir": _boolean,
-    "arch": _arch,
-    "por": _por,
+#: Declared field type -> (what a legal JSON value is, its test).
+_TYPES = {
+    bool: ("true or false", lambda value: type(value) is bool),
+    # A bool is not a bound.
+    int: ("a positive integer",
+          lambda value: type(value) is int and value > 0),
+    str: ("a string", lambda value: isinstance(value, str)),
+    dict: ("a JSON object", lambda value: isinstance(value, dict)),
+    list: ("a list", lambda value: isinstance(value, list)),
+    tuple: ("a list of strings", lambda value: isinstance(value, list)
+            and all(isinstance(item, str) for item in value)),
 }
 
 
-def _pick(options, allowed):
-    unknown = sorted(set(options) - set(allowed))
+def _checked(field, value, legal):
+    """``value`` if it is a legal ``field``, else a ``ValueError`` naming
+    the field.  ``legal`` is a type of :data:`_TYPES` (a JSON list read
+    as a ``tuple`` comes back as one) or the field's legal strings."""
+    if isinstance(legal, type):
+        expected, test = _TYPES[legal]
+        if not test(value):
+            raise ValueError(f"{field} must be {expected}, not {value!r}")
+        return tuple(value) if legal is tuple else value
+    if not isinstance(value, str) or value not in legal:
+        raise ValueError(f"unknown {field} {value!r} (expected one of "
+                         f"{', '.join(legal)})")
+    return value
+
+
+def _read(mapping, field, legal, default):
+    """``mapping[field]`` checked, or ``default`` when absent or null."""
+    value = mapping.get(field)
+    return default if value is None else _checked(field, value, legal)
+
+
+def _fields(cls, given, what, accepted=None):
+    """``given`` checked against the fields of the dataclass ``cls``
+    (a vocabulary, else the declared type); names outside ``accepted``
+    (default: every field) are unknown ``what``."""
+    legal = {field.name: field.type for field in fields(cls)}
+    unknown = sorted(set(given) - set(accepted or legal))
     if unknown:
-        raise ValueError(f"unknown options: {', '.join(unknown)}")
-    for field, value in options.items():
-        _OPTION_CHECKS[field](field, value)
-    return dict(options)
+        raise ValueError(f"unknown {what}: {', '.join(unknown)}")
+    return {name: _checked(name, value, _VOCABULARIES.get(name, legal[name]))
+            for name, value in given.items()}
 
 
 def job_tasks(kind, payload):
     """The task specs one job runs; ``ValueError`` on a bad payload.
 
-    Each kind maps onto one spec class: ``port`` onto ``PortTask``,
-    ``check`` onto ``CheckTask`` (one per module and model),
-    ``optimize`` and ``repair`` onto ``OptimizeTask`` / ``RepairTask``.
-    Level and config reach the specs as given: their ``load()``
-    (:func:`repro.api.load_module`) decides what the pair means, as it
-    does for the CLI.  The daemon calls this at submit, so a malformed
-    payload, including a bad option value (``_OPTION_CHECKS``), is an
-    HTTP 400, never a ``failed`` job.
+    The one reader of a payload.  The kind picks a spec class from
+    ``_KINDS``; every value the payload gives is checked against what
+    that spec (or ``AtoMigConfig``, for ``config`` knobs) declares,
+    and serve's defaults fill in the rest: level ``atomig``, model
+    ``wmm``, and a check's ``robustness``.  A config of defaults only
+    is no config.  Level and config reach the specs as given: their
+    ``load()`` (:func:`repro.api.load_module`) decides what the pair
+    means, as it does for the CLI.  The daemon calls this at submit,
+    so a malformed payload is an HTTP 400 naming the field, never a
+    ``failed`` job.
     """
-    from repro.core.config import PortingLevel
+    spec, accepted, defaults = _KINDS[_checked("job kind", kind, JOB_KINDS)]
+    knobs = _read(payload, "config", dict, {})
+    config = AtoMigConfig(**_fields(AtoMigConfig, knobs, "config knobs"))
+    common = {
+        "level": _read(payload, "level", _VOCABULARIES["level"], "atomig"),
+        "config": None if config == AtoMigConfig() else config,
+        **defaults,
+        **_fields(spec, _read(payload, "options", dict, {}), "options",
+                  accepted),
+    }
+    models = [_read(payload, "model", _VOCABULARIES["model"], "wmm")]
+    if kind == "check" and payload.get("models") is not None:
+        models = [_checked("models entry", model, _VOCABULARIES["model"])
+                  for model in _checked("models", payload["models"], list)
+                  ] or models
+    modules = payload.get("modules")
+    if not modules:
+        raise ValueError("payload has no modules")
+    legal = {field.name for field in fields(spec)}
+    tasks = []
+    for index, module in enumerate(_checked("modules", modules, list)):
+        _checked("modules entry", module, dict)
+        source = _read(module, "source", str, "")
+        if not source:
+            raise ValueError("module without source text")
+        is_ir = _read(module, "is_ir", bool, False)
+        if is_ir and "is_ir" not in legal:
+            raise ValueError(f"{kind} jobs take Mini-C sources, not IR text")
+        given = {"name": _read(module, "name", str, f"module{index}"),
+                 "source": source, "is_ir": is_ir, **common}
+        # A port spec takes neither a model nor IR.
+        tasks.extend(spec(**{field: value for field, value in
+                             {**given, "model": model}.items()
+                             if field in legal})
+                     for model in models)
+    return tasks
 
-    _known("job kind", kind, JOB_KINDS)
-    modules = _modules(payload)
-    config = _build_config(payload)
-    level = _known("level", payload.get("level") or "atomig",
-                   [member.value for member in PortingLevel])
-    options = _object("options", payload.get("options") or {})
-    if kind == "port":
-        from repro.core.parallel import PortTask
 
-        options = _pick(options, ("emit_ir",))
-        if any(is_ir for _name, _source, is_ir in modules):
-            raise ValueError("port jobs take Mini-C sources, not IR text")
-        return [
-            PortTask(name=name, source=source, level=level, config=config,
-                     emit_ir=options.get("emit_ir", False))
-            for name, source, _is_ir in modules
-        ]
-    models = _models(payload, kind)
-    if kind == "check":
-        from repro.mc.parallel import CheckTask
+def job_dedup_key(tasks):
+    """Content-addressed key for one job: the fingerprint of its specs.
 
-        options = _pick(options, ("max_steps", "max_states", "por",
-                                  "robustness"))
-        options.setdefault("robustness", True)
-        return [
-            CheckTask(name=name, source=source, model=model, level=level,
-                      config=config, is_ir=is_ir, **options)
-            for name, source, is_ir in modules
-            for model in models
-        ]
-    from repro.opt.parallel import OptimizeTask, RepairTask
+    Each spec enters as its class name and fields, its source through
+    :func:`repro.modcache.source_digest` (which already covers the
+    cache format version and the running Python), so two submissions
+    collide exactly when their payloads name the same work, explicit
+    defaults or not.  Keys of the ``serve1`` scheme, which hashed the
+    payload itself, match none of these.
+    """
+    hasher = hashlib.blake2b(digest_size=20)
+    hasher.update(b"serve2")
+    for task in tasks:
+        row = asdict(task)
+        row["source"] = modcache.source_digest(task.source, task.name)
+        hasher.update(json.dumps([type(task).__name__, row],
+                                 sort_keys=True).encode())
+    return hasher.hexdigest()
 
-    if kind == "optimize":
-        spec = OptimizeTask
-        options = _pick(options, ("max_steps", "max_states", "require_marks",
-                                  "robustness", "repair_seed", "arch"))
-    else:
-        spec = RepairTask
-        options = _pick(options, ("arch", "verify", "max_steps",
-                                  "max_states"))
-    return [
-        spec(name=name, source=source, model=models[0], level=level,
-             config=config, is_ir=is_ir, **options)
-        for name, source, is_ir in modules
-    ]
+
+# -- payload execution -------------------------------------------------------
 
 
 def _row(kind, task, result):
@@ -275,46 +230,29 @@ def execute_payload(kind, payload, fanout=1, emit=None):
 
     Raises on malformed payloads or pipeline errors — the daemon turns
     exceptions into ``failed`` records.  ``emit(type, **fields)``
-    receives progress events; specs run in this thread stream the
-    porting pipeline's per-stage boundaries through it.  ``fanout > 1``
-    runs multi-task jobs through :func:`repro.core.workers.run_batch`
-    on the persistent process pools (stage events then stay inside
-    the workers).  Every ``module_done`` event follows the work.
+    receives progress events.  The specs run through
+    :func:`repro.core.workers.run_batch` under one stage observer:
+    in this thread when ``fanout`` is 1 or the job has one task, and
+    then every ``stage_start``/``stage_end`` of the porting pipeline
+    reaches ``emit`` tagged with the module being ported; otherwise on
+    the persistent process pool of that width, where the stage events
+    stay inside the workers.  Every ``module_done`` event follows the
+    work.
     """
-    from repro.core.workers import run_batch
-
     emit = emit or (lambda type_, **fields: None)
     tasks = job_tasks(kind, payload)
     emit("job_start", kind=kind, modules=len(payload["modules"]),
-         level=payload.get("level") or "atomig")
+         level=tasks[0].level)
     if len(tasks) > 1 and fanout > 1:
         emit("fanout", jobs=fanout, tasks=len(tasks))
+    with stage_observer(lambda event: emit(event.pop("type"), **event)):
         results = run_batch(tasks, jobs=fanout)
-    else:
-        results = []
-        for task in tasks:
-            with _observed(emit, task.name):
-                results.append(task.run())
     rows = []
     for task, result in zip(tasks, results):
         row, done = _row(kind, task, result)
         rows.append(row)
         emit("module_done", module=row["name"], **done)
     return {"kind": kind, "checks" if kind == "check" else "modules": rows}
-
-
-def _observed(emit, name):
-    """Stage-observer context forwarding pipeline events for ``name``."""
-    from repro.core.profile import stage_observer
-
-    def forward(event):
-        type_ = event.pop("type")
-        # Pipeline events like ``port_done`` already carry a module
-        # field; only tag the bare per-stage ones.
-        event.setdefault("module", name)
-        emit(type_, **event)
-
-    return stage_observer(forward)
 
 
 # -- the daemon --------------------------------------------------------------
@@ -403,10 +341,11 @@ class JobDaemon:
     def submit(self, kind, payload, priority=0):
         """Validate, dedup, persist and enqueue one job.
 
-        Returns the job record.  An identical earlier ``done`` job
-        (same :func:`job_dedup_key`) answers instantly: the new record
-        is created already ``done`` with the stored result,
-        ``cache_hit: true`` and zero seconds — no queue, no port.
+        Returns the job record.  An earlier ``done`` job that named the
+        same work (same :func:`job_dedup_key` of its specs) answers
+        instantly: the new record is created already ``done`` with the
+        stored result, ``cache_hit: true`` and zero seconds — no queue,
+        no port.
         """
         if self._stop.is_set():
             raise RuntimeError("daemon is shutting down")
@@ -414,8 +353,7 @@ class JobDaemon:
         if type(priority) is not int:  # a bool is not a priority either
             raise ValueError(
                 f"priority must be an integer, not {priority!r}")
-        job_tasks(kind, payload)
-        key = job_dedup_key(kind, payload)
+        key = job_dedup_key(job_tasks(kind, payload))
         with self._cond:
             cached = self._records.get(self._dedup.get(key))
             if (cached is not None and cached["state"] == "done"

@@ -12,7 +12,6 @@ def test_levels_cover_the_papers_variants():
 
 def test_default_config_is_the_paper_configuration():
     config = AtoMigConfig()
-    assert config.analyze_annotations
     assert config.detect_spinloops
     assert config.detect_optimistic
     assert config.alias_exploration

@@ -1,14 +1,13 @@
 """Incremental re-verification of ported modules.
 
-A clone of a verified module is verified by construction, so the
-pipeline only needs to re-check functions the port actually modified.
-The fast path must never change the ported IR — only how much
-verification work runs afterwards.
+A fork of a verified module is verified by construction, so the
+pipeline only re-checks the functions the port actually modified;
+naive and Lasagne, which do not track what they touch, verify every
+function.
 """
 
 from repro.api import compile_source, port_module
-from repro.core.config import AtoMigConfig, PortingLevel
-from repro.ir.printer import print_module
+from repro.core.config import PortingLevel
 
 #: One spinloop in ``wait`` plus pure-local helpers the port never has
 #: a reason to touch.
@@ -27,44 +26,24 @@ int main() {
 """
 
 
-def _port(level, incremental):
-    module = compile_source(SOURCE, "incr")
-    config = AtoMigConfig.for_level(level)
-    config.incremental_verify = incremental
-    ported, report = port_module(module, level, config=config)
-    return print_module(ported), report
-
-
-def test_incremental_and_full_verify_produce_identical_ir():
-    for level in (PortingLevel.ATOMIG, PortingLevel.SPIN, PortingLevel.EXPL):
-        fast, _ = _port(level, incremental=True)
-        full, _ = _port(level, incremental=False)
-        assert fast == full, level
+def _port(level):
+    _ported, report = port_module(compile_source(SOURCE, "incr"), level)
+    return report
 
 
 def test_incremental_port_skips_untouched_functions():
-    _, report = _port(PortingLevel.ATOMIG, incremental=True)
-    counters = report.stats.counters
+    counters = _port(PortingLevel.ATOMIG).stats.counters
     assert counters.get("verify_skipped_functions", 0) >= 1
     assert counters["verified_functions"] >= 1
 
 
-def test_full_verify_covers_every_function():
-    _, report = _port(PortingLevel.ATOMIG, incremental=False)
-    counters = report.stats.counters
-    assert counters["verified_functions"] >= 5
-    assert "verify_skipped_functions" not in counters
-
-
 def test_original_level_verifies_nothing():
-    _, report = _port(PortingLevel.ORIGINAL, incremental=True)
-    counters = report.stats.counters
+    counters = _port(PortingLevel.ORIGINAL).stats.counters
     assert counters.get("verified_functions", 0) == 0
     assert counters.get("verify_skipped_functions", 0) >= 5
 
 
 def test_naive_port_always_fully_verifies():
-    _, report = _port(PortingLevel.NAIVE, incremental=True)
-    counters = report.stats.counters
+    counters = _port(PortingLevel.NAIVE).stats.counters
     assert counters["verified_functions"] >= 5
     assert "verify_skipped_functions" not in counters

@@ -153,11 +153,22 @@ def test_bad_requests_are_400(client):
         ("port", "config", {"config": [1]}),
         ("port", "modules", {"modules": ["x"]}),
         ("port", "modules", {"modules": {"source": "int x;"}}),
+        ("check", "is_ir", {"modules": [{**module, "is_ir": "no"}]}),
+        ("check", "name", {"modules": [{**module, "name": 5}]}),
+        ("check", "prune_protected",
+         {"config": {"prune_protected": "no"}}),
+        ("optimize", "alias_mode", {"config": {"alias_mode": "fancy"}}),
+        ("repair", "repair_arch", {"config": {"repair_arch": "x86"}}),
     ):
         status, payload = client.request("POST", "/jobs", body={
             "kind": kind, "modules": [module], **bad,
         })
         assert status == 400 and field in payload["error"], (bad, payload)
+    # The inline single-module form hands ``is_ir`` over as given.
+    status, payload = client.request("POST", "/jobs", body={
+        "kind": "check", "name": "m", "source": "int x;", "is_ir": "no",
+    })
+    assert status == 400 and "is_ir" in payload["error"], payload
     # Rejected at the door: nothing was queued to fail later.
     assert client.jobs() == []
 

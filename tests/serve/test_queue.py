@@ -12,7 +12,12 @@ from repro.api import (
 from repro.bench.corpus import BENCHMARKS
 from repro.core.config import PortingLevel
 from repro.core.report import count_barriers
-from repro.serve.queue import JobDaemon, execute_payload, job_dedup_key
+from repro.serve.queue import (
+    JobDaemon,
+    execute_payload,
+    job_dedup_key,
+    job_tasks,
+)
 
 BROKEN_SOURCE = "int main( {"
 
@@ -28,21 +33,58 @@ def normalized(report_dict):
 # -- dedup key ---------------------------------------------------------------
 
 
+def key(kind, payload):
+    """The dedup key ``submit`` files a (kind, payload) job under."""
+    return job_dedup_key(job_tasks(kind, payload))
+
+
 def test_dedup_key_is_stable(port_payload):
-    assert job_dedup_key("port", port_payload()) == \
-        job_dedup_key("port", port_payload())
+    assert key("port", port_payload()) == key("port", port_payload())
 
 
 def test_dedup_key_covers_kind_level_config_and_source(port_payload):
-    base = job_dedup_key("port", port_payload())
-    assert job_dedup_key("check", port_payload()) != base
-    assert job_dedup_key("port", port_payload(level="naive")) != base
-    assert job_dedup_key(
+    base = key("port", port_payload())
+    assert key("check", port_payload()) != base
+    assert key("port", port_payload(level="naive")) != base
+    assert key(
         "port", port_payload(config={"detect_polling_loops": True})
     ) != base
     changed = port_payload()
     changed["modules"][0]["source"] += "\n// touched\n"
-    assert job_dedup_key("port", changed) != base
+    assert key("port", changed) != base
+    # A check job runs its models in the order given.
+    assert key("check", port_payload(models=["sc", "wmm"])) != key(
+        "check", port_payload(models=["wmm", "sc"]))
+
+
+def test_dedup_key_ignores_explicit_defaults(port_payload):
+    """Payloads that name the same work share one key."""
+    bare = port_payload()
+    del bare["level"]
+    assert key("port", bare) == key("port", port_payload(level="atomig"))
+    assert key("check", port_payload()) == key(
+        "check", port_payload(options={"robustness": True}, model="wmm"))
+    # A config of defaults only is no config at all.
+    assert key("optimize", port_payload()) == key(
+        "optimize", port_payload(config={"alias_mode": "type_based"}))
+    # ``model`` is not part of a port's work.
+    assert key("port", port_payload()) == key("port",
+                                              port_payload(model="tso"))
+
+
+def test_resubmitting_explicit_defaults_is_a_cache_hit(daemon, port_payload):
+    first = daemon.submit("check", port_payload())
+    assert daemon.wait(first["id"], timeout=60)["state"] == "done"
+    again = daemon.submit("check", port_payload(
+        options={"robustness": True}))
+    assert again["cache_hit"] is True
+    assert again["cached_from"] == first["id"]
+    bare = port_payload()
+    del bare["level"]
+    assert daemon.submit("check", bare)["cache_hit"] is True
+    other = daemon.submit("check", port_payload(options={
+        "robustness": False}))
+    assert other["cache_hit"] is False
 
 
 # -- execute_payload ---------------------------------------------------------
@@ -161,6 +203,24 @@ def test_every_kind_fans_out_like_it_runs_serially(kind):
     assert runs[1] == [_timeless(_one_shot_row(kind, name)) for name in TREE]
 
 
+def test_stage_events_name_the_module_they_port(mp_source):
+    """A serial tree job tags each module's stages with its name."""
+    payload = {"modules": [{"name": name, "source": mp_source}
+                           for name in ("first.c", "second.c")]}
+    events = []
+    execute_payload("port", payload, fanout=1,
+                    emit=lambda type_, **f: events.append((type_, f)))
+    stages = [(f["module"], f["stage"]) for type_, f in events
+              if type_ in ("stage_start", "stage_end")]
+    modules = [module for module, _stage in stages]
+    split = modules.index("second.c")
+    assert set(modules[:split]) == {"first.c"}
+    assert set(modules[split:]) == {"second.c"}
+    assert [stage for module, stage in stages if module == "first.c"] == [
+        stage for module, stage in stages if module == "second.c"]
+    assert ("first.c", "atomize") in stages
+
+
 def test_execute_emits_stage_events(port_payload):
     events = []
     execute_payload(
@@ -268,10 +328,48 @@ def test_valid_option_values_keep_their_dedup_key(idle_daemon,
                "require_marks": False, "repair_seed": True,
                "arch": "power"}
     payload = port_payload(options=options)
-    key = job_dedup_key("optimize", port_payload(options=dict(options)))
+    expected = key("optimize", port_payload(options=dict(options)))
     record = idle_daemon.submit("optimize", payload)
-    assert record["dedup_key"] == key
+    assert record["dedup_key"] == expected
     assert payload["options"] == options
+
+
+def test_bad_payload_fields_are_rejected_before_storing(idle_daemon,
+                                                        port_payload):
+    """Module fields and config knob values are checked at submit."""
+    for kind, field, payload in (
+        ("check", "is_ir", port_payload(is_ir="no")),
+        ("check", "prune_protected",
+         port_payload(config={"prune_protected": "no"})),
+        ("check", "name", port_payload(name=5)),
+        ("optimize", "alias_mode",
+         port_payload(config={"alias_mode": "fancy"})),
+        ("repair", "repair_arch", port_payload(config={"repair_arch": "x86"})),
+        ("port", "repair_model", port_payload(config={"repair_model": "sc"})),
+        ("port", "volatile_blacklist",
+         port_payload(config={"volatile_blacklist": "flag"})),
+        ("port", "incremental_verify",
+         port_payload(config={"incremental_verify": False})),
+        ("port", "analyze_annotations",
+         port_payload(config={"analyze_annotations": True})),
+        ("check", "source", port_payload(source=["int main() {}"])),
+    ):
+        if field == "is_ir":
+            payload["modules"][0]["is_ir"] = payload.pop("is_ir")
+        with pytest.raises(ValueError, match=field):
+            idle_daemon.submit(kind, payload)
+    assert idle_daemon.store.list_jobs() == []
+    assert idle_daemon.list_jobs() == []
+
+
+def test_config_knob_values_reach_the_spec(port_payload):
+    (task,) = job_tasks("port", port_payload(config={
+        "volatile_blacklist": ["flag"], "repair_arch": "power",
+        "prune_protected": True,
+    }))
+    assert task.config.volatile_blacklist == ("flag",)
+    assert task.config.repair_arch == "power"
+    assert task.config.prune_protected is True
 
 
 def test_priority_orders_the_queue(idle_daemon, port_payload):
