@@ -7,7 +7,7 @@ Every batch in the repo — the table harnesses, ``atomig check
 :class:`repro.opt.parallel.OptimizeTask`,
 :class:`repro.opt.parallel.RepairTask`).  Each spec is picklable and
 carries its own ``run()``; :func:`run_batch` runs a list of them
-in-process or on a pool.  Two mechanisms keep the pools cheap:
+in-process or on a pool.  Three mechanisms keep the pools cheap:
 
 - **Persistent pools.**  :func:`get_pool` keeps one pool per worker
   count alive for the whole process (closed via ``atexit``), so a
@@ -16,6 +16,17 @@ in-process or on a pool.  Two mechanisms keep the pools cheap:
   :attr:`WorkerPool.worker_stats` maps worker pid to cumulative busy
   seconds and task count, making pool skew visible to the perf
   harnesses (``BENCH_port.json``).
+- **A paused collector per task.**  Each worker freezes the heap it
+  inherited at fork (``gc.freeze()`` in the pool initializer), so no
+  collection in a worker walks it.  :func:`run_task` collects what the
+  previous task left, runs the task with the cyclic collector
+  disabled, and re-enables it on the way out: a compile or port no
+  longer pays for repeated full sweeps over the module it is still
+  building, and a worker carries at most one task's cyclic garbage.
+  Only pool workers do this.  In-process batches, serve's job threads
+  (one collector shared by every thread) and the one-shot
+  :mod:`repro.api` calls (no task boundary to collect at) keep the
+  interpreter's collector as it is (DESIGN.md §6f item 3).
 
 Specs compile their own modules: Mini-C through
 :func:`repro.api.compile_source`, whose frontend cache
@@ -28,6 +39,7 @@ The check, optimize and repair specs share the base
 """
 
 import atexit
+import gc
 import os
 import time
 from functools import partial
@@ -54,7 +66,7 @@ class WorkerPool:
         except ValueError:  # platforms without fork (e.g. Windows)
             context = multiprocessing.get_context("spawn")
         self.jobs = jobs
-        self._pool = context.Pool(processes=jobs)
+        self._pool = context.Pool(processes=jobs, initializer=gc.freeze)
         #: pid -> {"tasks": int, "busy_seconds": float}
         self.worker_stats = {}
         self.batches = 0
@@ -109,8 +121,22 @@ def get_pool(jobs):
 
 
 def run_task(task):
-    """Run one task spec (the picklable top-level pool worker)."""
-    return task.run()
+    """Run one task spec (the picklable top-level pool worker).
+
+    The previous task's cyclic garbage is collected first and the task
+    runs with the collector off, so a worker carries at most one task's
+    leftovers and a task never pays for a sweep of its own half-built
+    module.  Everything the task allocated is young when the collector
+    comes back on, so in practice the first allocation after the task
+    frees its garbage in one young-generation pass, and the next task's
+    collection finds next to nothing.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        return task.run()
+    finally:
+        gc.enable()
 
 
 def run_batch(tasks, jobs=None):

@@ -21,10 +21,14 @@ Invalidation rules:
 Callers always get a *fresh* module object: the in-memory layer keeps
 the pickled bytes, not the module, and every hit re-unpickles.  The
 pipeline mutates modules in place (inlining, atomization), so handing
-out a shared instance would poison later hits.  This is the only module
-cache in the repo: every task spec (:mod:`repro.core.workers`) and the
-CLI compile through :func:`repro.api.compile_source`, so a daemon with
-the cache on answers a repeated source from here.
+out a shared instance would poison later hits.  The memory layer keeps
+what this process has *read*: :func:`load` fills it from disk, while
+:func:`store` writes the disk only (and memory only when the disk
+write fails), so a pool worker that compiles a stream of new sources
+does not hold the bytes of every module it wrote.  This is the only
+module cache in the repo: every task spec (:mod:`repro.core.workers`)
+and the CLI compile through :func:`repro.api.compile_source`, so a
+daemon with the cache on answers a repeated source from here.
 
 The cache is off unless explicitly enabled — pass ``cache=True`` or
 set ``ATOMIG_FRONTEND_CACHE=1``; ``ATOMIG_CACHE_DIR`` overrides the
@@ -162,14 +166,17 @@ def load(digest):
 
 
 def store(digest, module):
-    """Pickle ``module`` under ``digest`` (atomic write; best effort)."""
+    """Pickle ``module`` under ``digest`` (atomic write; best effort).
+
+    The bytes go to disk; the memory layer gets them only when the
+    disk write fails, so later loads in this process still hit.
+    """
     try:
         blob = pickle.dumps(module, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
         # RecursionError on very deep IR graphs, unpicklable metadata:
         # skip caching, the compile result is still returned.
         return False
-    _memory_put(digest, blob)
     directory = cache_dir()
     try:
         os.makedirs(directory, exist_ok=True)
@@ -187,7 +194,9 @@ def store(digest, module):
                 pass
             raise
     except OSError:
-        return False  # read-only disk etc.: memory layer still works
+        # Read-only disk etc.: the memory layer serves this process.
+        _memory_put(digest, blob)
+        return False
     evict()
     return True
 

@@ -15,8 +15,10 @@ it cheap enough to sit in a greedy loop (DESIGN.md §6d item 3):
   :class:`repro.mc.machine.Context` (liveness, private accesses,
   access sets, the decode table).  Order rewrites and fence deletions
   leave all of it valid except the decoded code of the written block,
-  which the write drops; the context is rebuilt only after a function
-  of ``main``'s closure was owned (:meth:`Module.own`).
+  which the write drops; the context is rebuilt only when
+  :meth:`Oracle.track` finds a function of ``main``'s closure owned
+  (:meth:`Module.own`) since :meth:`Oracle.establish`, and then on the
+  established state.
 - **Verdict caching**: verdicts are keyed on the *assignment*, each
   tracked candidate's current rung (its order, or ``"delete"``).  On
   one module an assignment names exactly one module state; bisection
@@ -126,8 +128,16 @@ class Oracle:
         """Key verdicts on ``candidates``' rungs from here on.
 
         The module must still be in its established state, whose
-        verdict moves to the all-original assignment.
+        verdict moves to the all-original assignment.  If a function of
+        ``main``'s closure was owned since :meth:`establish` (the
+        weakener owns the candidates' holders), the context is rebuilt
+        here, on that state: a context built on a candidate's state
+        would miss the fences the candidate deleted (their entries in
+        the ``unused`` table), and split states once they are back.
         """
+        if (self._context is not None
+                and not self._context.bound_to(self.module)):
+            self._context = self._new_context()
         current = self._verdicts.get(self._assignment())
         self._rungs = {
             candidate.position: candidate.committed
@@ -231,10 +241,18 @@ class Oracle:
     def _assignment(self):
         return tuple(self._rungs.values())
 
+    def _new_context(self):
+        return Context(self.module, get_model(self.model))
+
     def _check(self, max_states):
         self.checks_run += 1
-        if self._context is None or not self._context.bound_to(self.module):
-            self._context = Context(self.module, get_model(self.model))
+        if self._context is None:
+            self._context = self._new_context()
+        elif not self._context.bound_to(self.module):
+            raise RuntimeError(
+                "main's closure was owned since the checker context was "
+                "built; own the candidates' holders before track()"
+            )
         result = check_module(
             self.module, model=self.model, max_steps=self.max_steps,
             max_states=max_states, context=self._context,

@@ -1,16 +1,20 @@
-"""The batch runner and its worker pools: caching, dispatch, accounting."""
+"""The batch runner and its worker pools: caching, dispatch, accounting,
+and the collector discipline of pool workers."""
 
+import gc
 import os
 from dataclasses import dataclass
 
 import pytest
 
 from repro import modcache
+from repro.core.parallel import PortTask
 from repro.core.workers import (
     WorkerPool,
     get_pool,
     pool_stats,
     run_batch,
+    run_task,
     shutdown_pools,
     timed_call,
 )
@@ -163,3 +167,121 @@ class TestRunBatch:
             assert pool_stats()[2]["batches"] == 2  # one pool, reused
         finally:
             shutdown_pools()
+
+
+# -- the collector discipline of pool workers -------------------------------
+
+
+@dataclass(frozen=True)
+class CollectorProbe:
+    """A task spec that reports the collector it runs under."""
+
+    def run(self):
+        return (gc.isenabled(), gc.get_freeze_count())
+
+
+@dataclass(frozen=True)
+class FailingTask:
+    def run(self):
+        raise ValueError("the task failed")
+
+
+def _collector_enabled(_value):
+    return gc.isenabled()
+
+
+def _tracked_objects(_value):
+    """Objects the collector would walk: the frozen heap is not one."""
+    return len(gc.get_objects())
+
+
+#: A Table 3 app small enough for a unit test (1/400 of leveldb).
+SYNTH = ("leveldb", 400, 5)
+
+
+def _untimed(value):
+    """A result structure without its wall-clock fields."""
+    if isinstance(value, dict):
+        return {key: _untimed(item) for key, item in value.items()
+                if "seconds" not in key and key != "states_per_second"}
+    if isinstance(value, (list, tuple)):
+        return [_untimed(item) for item in value]
+    return value
+
+
+class TestPausedCollector:
+    def test_pooled_tasks_run_paused_over_a_frozen_heap(self):
+        shutdown_pools()
+        try:
+            probes = run_batch([CollectorProbe(), CollectorProbe()], jobs=2)
+        finally:
+            shutdown_pools()
+        for enabled, frozen in probes:
+            assert enabled is False
+            assert frozen > 0
+        # In-process batches keep the interpreter's collector.
+        assert run_batch([CollectorProbe()])[0] == (True, 0)
+        assert gc.isenabled()
+
+    def test_other_worker_functions_see_the_collector_enabled(self):
+        pool = WorkerPool(1)
+        try:
+            assert pool.map(_collector_enabled, [0]) == [True]
+            with pytest.raises(ValueError, match="the task failed"):
+                pool.map(run_task, [FailingTask()])
+            # The same worker, after a task that raised.
+            assert pool.map(_collector_enabled, [0, 1]) == [True, True]
+            assert len(pool.worker_stats) == 1
+        finally:
+            pool.close()
+
+    def test_a_worker_carries_at_most_one_tasks_objects(self):
+        """Tasks run paused, but each starts by collecting what the
+        previous one left: the objects a worker's collector walks do
+        not grow with the number of tasks it ran."""
+        task = PortTask(name="leveldb", synth=SYNTH, level="atomig",
+                        frontend_cache=False)
+        # One task's worth: every object a task leaves tracked when
+        # nothing is collected, garbage included.
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            outcome = task.run()
+            worth = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert outcome.report is not None and worth > 1_000
+        pool = WorkerPool(1)
+        try:
+            base = pool.map(_tracked_objects, [0])[0]
+            carried = []
+            for _ in range(4):
+                pool.map(run_task, [task])
+                carried.append(pool.map(_tracked_objects, [0])[0] - base)
+        finally:
+            pool.close()
+        assert max(carried) <= worth, (carried, worth)
+
+    def test_pooled_results_equal_in_process_ones(self):
+        tasks = [
+            PortTask(name="leveldb", synth=SYNTH, level="atomig",
+                     emit_ir=True, frontend_cache=False),
+            PortTask(name="memcached", synth=("memcached", 400, 5),
+                     level="naive", emit_ir=True, frontend_cache=False),
+            CheckTask(name="m", source=SOURCE, model="wmm"),
+            OptimizeTask(name="m", source=SOURCE),
+        ]
+        shutdown_pools()
+        try:
+            pooled = run_batch(tasks, jobs=2)
+        finally:
+            shutdown_pools()
+        serial = run_batch(tasks)
+        for left, right in zip(pooled[:2], serial[:2]):
+            assert left.ir_text == right.ir_text
+            assert left.barriers == right.barriers
+            assert (_untimed(left.report.to_dict())
+                    == _untimed(right.report.to_dict()))
+        assert (_untimed(pooled[2].to_dict())
+                == _untimed(serial[2].to_dict()))
+        assert _untimed(pooled[3]) == _untimed(serial[3])

@@ -39,7 +39,8 @@ from repro.mc import machine
 from repro.mc.explorer import check_module
 from repro.mc.litmus import WEAKENED_LITMUS, weakened_source
 from repro.opt import Oracle, enumerate_candidates
-from repro.opt.candidates import apply_proposal
+from repro.opt.candidates import DELETE, apply_proposal
+from repro.opt.weaken import _settle
 from repro.vm.costs import CostModel
 
 #: Wall-clock fields of ExplorationStats; everything else must agree.
@@ -258,6 +259,75 @@ def test_one_context_per_corpus_module():
             assert built == [ported], name
             checks += oracle.checks_run
     assert checks > 5 * len(CORPUS)
+
+
+def test_owning_after_establish_rebuilds_the_context_in_track():
+    """The path that owns after the baseline check: fork, establish(),
+    own the candidates' holders (functions of ``main``'s closure),
+    track(), then the weakener's first batch deletes every fence.  The
+    session rebuilds its context in track(), on the established state,
+    so every check reads what a fresh context reads.  A context built
+    lazily at that first candidate check, with the fences deleted,
+    missed them in its ``unused`` table: once they were back, the last
+    two checks of lf_hash read 24 states against a fresh context's 20.
+    """
+    fresh = []
+
+    class Compared(Oracle):
+        def _check(self, max_states):
+            result = super()._check(max_states)
+            reference = check_module(
+                self.module, model=self.model, max_steps=self.max_steps,
+                max_states=max_states,
+            )
+            fresh.append(((result.outcome, result.states_explored),
+                          (reference.outcome, reference.states_explored)))
+            return result
+
+    module = compile_source(BENCHMARKS["lf_hash"].mc_source(), "lf_hash")
+    ported, _report = port_module(module, PortingLevel.ATOMIG)
+    work = ported.fork()
+    oracle = Compared(work)
+    oracle.establish()
+    costs = CostModel()
+    candidates = enumerate_candidates(work, costs)
+    mapping = work.own_holders(candidate.instr for candidate in candidates)
+    for candidate in candidates:
+        candidate.instr = mapping.get(candidate.instr, candidate.instr)
+    assert not oracle._context.bound_to(work)
+    oracle.track(candidates)
+    assert oracle._context.bound_to(work)
+    assert any(isinstance(candidate.instr, ins.Fence)
+               and candidate.proposal() == DELETE
+               for candidate in candidates)
+    while True:
+        active = [candidate for candidate in candidates
+                  if candidate.proposal() is not None]
+        if not active:
+            break
+        active.sort(key=lambda c: (-c.savings(costs), c.position))
+        _settle(oracle, active)
+    assert [session for session, _reference in fresh] == [
+        reference for _session, reference in fresh
+    ]
+    assert fresh[-2:] == [(("ok", 20), ("ok", 20))] * 2
+
+
+def test_owning_after_track_is_refused():
+    """Writes after track() go through apply(): a check on a module
+    whose ``main`` closure was owned since then raises instead of
+    running the context's stale decoded code."""
+    module = compile_source("""
+int x = 0;
+void writer() { x = 1; }
+int main() { int t = thread_create(writer); thread_join(t); return x; }
+""", "owned").fork()
+    oracle = Oracle(module)
+    oracle.establish()
+    oracle.track([])
+    module.own({"writer"})
+    with pytest.raises(RuntimeError, match="track"):
+        oracle._check(oracle.budget)
 
 
 # -- drawn weakening sequences ---------------------------------------------

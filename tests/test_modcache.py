@@ -113,6 +113,23 @@ def test_store_survives_unwritable_directory(monkeypatch, tmp_path):
     assert modcache.load(digest) is not None
 
 
+def test_store_writes_the_disk_and_the_first_load_fills_memory(
+        isolated_cache):
+    """The memory layer keeps what this process read, not what it
+    wrote: a store leaves it empty, the first load fills it."""
+    cold = compile_source(SOURCE, "m", cache=True)
+    digest = modcache.source_digest(SOURCE, "m")
+    path = os.path.join(str(isolated_cache), f"{digest}.pkl")
+    assert os.path.exists(path)
+    assert list(modcache._memory) == []
+    assert modcache._memory_bytes == 0
+    assert print_module(modcache.load(digest)) == print_module(cold)
+    assert list(modcache._memory) == [digest]
+    assert modcache._memory_bytes == os.path.getsize(path)
+    os.unlink(path)
+    assert print_module(modcache.load(digest)) == print_module(cold)
+
+
 def test_entries_are_plain_pickles(isolated_cache):
     compile_source(SOURCE, "m", cache=True)
     digest = modcache.source_digest(SOURCE, "m")
@@ -188,6 +205,8 @@ def test_memory_hits_keep_the_disk_entry_fresh(isolated_cache,
     """A source served from memory is the hottest entry, so the disk
     layer's LRU must not evict it before an entry nobody asked for."""
     digests = _fill(isolated_cache, 3)  # unbounded: measure the sizes
+    for digest in digests:
+        assert modcache.load(digest) is not None  # a load fills memory
     sizes = [len(modcache._memory[digest]) for digest in digests]
     modcache.clear_memory_cache()
     monkeypatch.setenv("ATOMIG_CACHE_DIR", str(isolated_cache / "lru"))
@@ -195,6 +214,7 @@ def test_memory_hits_keep_the_disk_entry_fresh(isolated_cache,
     monkeypatch.setenv("ATOMIG_CACHE_MAX_MB", str((cap + 0.5) / 2 ** 20))
     hot, cold, new = digests
     assert _fill(isolated_cache, 2) == [hot, cold]
+    assert modcache.load(hot) is not None  # the first use reads the disk
     paths = {digest: os.path.join(str(isolated_cache / "lru"),
                                   f"{digest}.pkl") for digest in digests}
     # The hot entry is the older one on disk ...
@@ -221,18 +241,20 @@ def test_store_evicts_when_env_set(isolated_cache, monkeypatch):
 def test_memory_layer_evicts_oldest_past_the_cap(isolated_cache,
                                                  monkeypatch):
     digests = _fill(isolated_cache, 4)  # unbounded: all four kept
+    for digest in digests:
+        assert modcache.load(digest) is not None  # a load fills memory
     sizes = [len(modcache._memory[digest]) for digest in digests]
     modcache.clear_memory_cache()
-    monkeypatch.setenv("ATOMIG_CACHE_DIR", str(isolated_cache / "fresh"))
     cap = sizes[2] + sizes[3]
     monkeypatch.setenv("ATOMIG_CACHE_MAX_MB", str((cap + 0.5) / 2 ** 20))
-    assert _fill(isolated_cache, 4) == digests
-    # Storing past the cap dropped the two oldest entries.
+    for digest in digests:
+        assert modcache.load(digest) is not None
+    # Loading past the cap dropped the two oldest entries.
     assert list(modcache._memory) == digests[2:]
     assert sum(map(len, modcache._memory.values())) <= cap
-    # A hit refreshes recency: the next store evicts digests[3].
+    # A hit refreshes recency: the next load from disk evicts digests[3].
     assert modcache.load(digests[2]) is not None
-    compile_source(SOURCE + "\n// variant 4\n", "m", cache=True)
+    assert modcache.load(digests[0]) is not None
     assert digests[3] not in modcache._memory
     assert digests[2] in modcache._memory
 
